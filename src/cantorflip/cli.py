@@ -56,7 +56,9 @@ CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "mode": {"enum": ["simulate", "bounds", "exact", "deterministic", "energy"]},
+        "mode": {
+            "enum": ["simulate", "bounds", "table1", "figure1", "exact", "deterministic", "energy"]
+        },
         "ifs": {
             "type": "object",
             "additionalProperties": False,
@@ -92,6 +94,7 @@ CONFIG_SCHEMA = {
         "grid": {"type": "integer", "minimum": 3},
         "t": {"type": "number", "exclusiveMinimum": 0},
         "table": {"enum": ["pi", "zn"]},
+        "dump": {"type": "string"},
         "out": {"type": "string"},
         "format": {"enum": ["json", "csv"]},
     },
@@ -129,13 +132,14 @@ def _config_hash(resolved: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _load_config(path: str | None, command: str) -> dict:
+def _load_config(path: str | None, command: str, *also: str) -> dict:
+    """Read and validate a config whose mode, if given, is ``command`` or one of ``also``."""
     if path is None:
         return {}
     raw = json.loads(Path(path).read_text())
     jsonschema.validate(raw, CONFIG_SCHEMA)
     mode = raw.get("mode")
-    if mode is not None and mode != command:
+    if mode is not None and mode not in (command, *also):
         raise ValueError(f"config mode {mode!r} does not match command {command!r}")
     return raw
 
@@ -226,7 +230,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    config = _load_config(args.config, "bounds")
+    config = _load_config(args.config, "table1", "bounds")
     r = 1.0 / 3.0
     rows = []
     for m in TABLE1_PERIODS:
@@ -247,7 +251,7 @@ def cmd_table1(args) -> int:
 
 
 def cmd_figure1(args) -> int:
-    config = _load_config(args.config, "bounds")
+    config = _load_config(args.config, "figure1", "bounds")
     grid = int(_pick(args, config, "grid", 99))
     if grid < 3:
         raise ValueError(f"grid must be at least 3, got {grid}")

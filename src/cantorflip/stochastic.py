@@ -9,19 +9,31 @@ intervals of an interval system with N maps).
 
 With labels drawn i.i.d. from a probability vector p, the M*c children of
 the c paths sharing a word w split among the N one-letter extensions as a
-single multinomial(M*c, p) draw, independently across words. ``evolve``
-advances whole levels this way; it has exactly the per-edge i.i.d. label
-distribution while keeping the state linear in the number of distinct words
-rather than in the number of paths.
+single multinomial(M*c, p) draw, independently across words. ``_step`` is
+the one implementation of that level step: it works on int64 word codes and
+path counts, the children of code c being c*N + l, so sorted parents give
+sorted children and the state stays linear in the number of distinct words
+rather than in the number of paths or of possible words.
+
+``evolve`` advances an ``OccupancyMap`` by one step. ``run_trials`` and
+``z_distribution`` advance trials in blocks of B = max(1, _BLOCK_ENTRIES //
+min(N, M)^depth): block b holds trials [b*B, (b+1)*B), draws from
+Generator(PCG64(SeedSequence(master_seed, spawn_key=(b,)))) and orders its
+entries by (trial, code). Results depend on that block size and on nothing
+else (not on the thread count). When B == 1, block b is trial b, so deep
+shapes keep one stream per trial. At one seed both functions see the same
+trials: ``z_distribution`` is the histogram of the per-trial counts that
+``run_trials`` aggregates.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,10 +57,13 @@ __all__ = [
     "occupancy_from_source",
 ]
 
-_DENSE_STATE_CAP = 1 << 24  # dense level arrays: at most 2^24 words
+_DENSE_STATE_CAP = 1 << 24  # pooled-union bitmaps: at most 2^24 words a level
 _WORK_CAP = 1 << 34  # trials * N^depth
 _EXPLICIT_CAP = 1 << 16  # per-path walk budget (M^depth)
 _COUNT_CAP = 1 << 63  # path counts are int64
+# a block of B > 1 trials holds at most 2^16 words at any level (B * min(N, M)^depth)
+_BLOCK_ENTRIES = 1 << 16
+_PAIR_CAP = 1 << 28  # energy pair sum: at most 2^28 (Z^2) pairs per level
 
 
 @dataclass(frozen=True)
@@ -233,6 +248,23 @@ def _multinomial_split(rng: np.random.Generator, n: np.ndarray, p: np.ndarray) -
     return out
 
 
+def _step(
+    rng: np.random.Generator, codes: np.ndarray, counts: np.ndarray, p: np.ndarray, M: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One level of the occupancy kernel: (codes, counts) -> occupied children.
+
+    Entry i's M*counts[i] child paths split over the children codes[i]*N + l,
+    l = 0..N-1, by one multinomial draw per entry, in entry order. Children
+    come out in (entry, l) order with zero counts dropped, so ascending codes
+    stay ascending.
+    """
+    N = p.shape[0]
+    splits = _multinomial_split(rng, M * counts, p)
+    occupied = splits > 0
+    children = codes[:, None] * N + np.arange(N, dtype=np.int64)
+    return children[occupied], splits[occupied]
+
+
 def evolve(
     occ: OccupancyMap,
     p: ProbVector,
@@ -255,16 +287,17 @@ def evolve(
             "path counts overflow 64-bit at the next level; "
             "lower the depth or switch to trial sampling"
         )
-    gen = _as_generator(rng)
-    words = list(occ.entries.keys())
-    counts = np.fromiter((occ.entries[w] for w in words), dtype=np.int64, count=len(words))
-    splits = _multinomial_split(gen, M * counts, p.as_array())
-    entries: dict[tuple[int, ...], int] = {}
-    for i, w in enumerate(words):
-        for l in range(p.N):
-            c = int(splits[i, l])
-            if c > 0:
-                entries[w + (l + 1,)] = c
+    words = list(occ.entries)
+    counts = np.fromiter(occ.entries.values(), dtype=np.int64, count=len(words))
+    # entry indices as codes: child i*N + l is word i extended by letter l+1
+    codes, child_counts = _step(
+        _as_generator(rng), np.arange(len(words), dtype=np.int64), counts, p.as_array(), M
+    )
+    N = p.N
+    entries = {
+        words[c // N] + (c % N + 1,): n
+        for c, n in zip(codes.tolist(), child_counts.tolist())
+    }
     return OccupancyMap(occ.level + 1, occ.M, entries)
 
 
@@ -328,33 +361,69 @@ class TrialStats:
     z_union: tuple[int, ...]
 
 
-def _trial_rng(master_seed: int, t: int) -> np.random.Generator:
-    # counter-style stream derivation: one child stream per (master_seed, t)
+def _trial_rng(master_seed: int, block: int) -> np.random.Generator:
+    # counter-style stream derivation: one child stream per (master_seed, block)
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=master_seed, spawn_key=(t,)))
+        np.random.PCG64(np.random.SeedSequence(entropy=master_seed, spawn_key=(block,)))
     )
 
 
-def _trial_z(
-    rng: np.random.Generator,
-    parr: np.ndarray,
+def _block_z(
+    p: np.ndarray,
     M: int,
     depth: int,
+    master_seed: int,
+    block: int,
+    size: int,
     union: list[np.ndarray] | None,
-) -> list[int]:
-    N = parr.shape[0]
-    state = np.ones(1, dtype=np.int64)
-    zs = [1]
-    for k in range(depth):
-        occupied = np.nonzero(state)[0]
-        child = np.zeros(state.size * N, dtype=np.int64)
-        splits = _multinomial_split(rng, M * state[occupied], parr)
-        child.reshape(state.size, N)[occupied, :] = splits
-        state = child
-        zs.append(int(np.count_nonzero(state)))
+) -> np.ndarray:
+    """Per-trial Z at levels 0..depth for ``size`` trials of one block.
+
+    Trial j of the block starts as code j, so a code at level k is
+    j*N^k + word and entries stay ordered by (trial, word). Returns an int64
+    array of shape (depth + 1, size); marks each level's words in ``union``.
+    """
+    N = p.shape[0]
+    rng = _trial_rng(master_seed, block)
+    codes = np.arange(size, dtype=np.int64)
+    counts = np.ones(size, dtype=np.int64)
+    zs = np.ones((depth + 1, size), dtype=np.int64)
+    for k in range(1, depth + 1):
+        codes, counts = _step(rng, codes, counts, p, M)
+        # trial j's codes fill [starts[j], starts[j + 1]) of the sorted codes
+        starts = np.arange(size + 1, dtype=np.int64) * N**k
+        zs[k] = np.diff(np.searchsorted(codes, starts))
         if union is not None:
-            union[k] |= state > 0
+            union[k - 1][codes - np.repeat(starts[:-1], zs[k])] = True
     return zs
+
+
+def _trial_blocks(
+    p: ProbVector,
+    M: int,
+    depth: int,
+    trials: int,
+    master_seed: int,
+    threads: int,
+    union: list[np.ndarray] | None,
+) -> Iterable[np.ndarray]:
+    """Per-trial Z arrays of every block, in block order.
+
+    Blocks are independent, so a pool of ``threads`` workers maps over them
+    without changing any result. Workers share ``union``: they only store
+    True into it, so the bitmap does not depend on their interleaving.
+    """
+    B = max(1, _BLOCK_ENTRIES // min(p.N, M) ** depth)
+    parr = p.as_array()
+
+    def run(b: int) -> np.ndarray:
+        return _block_z(parr, M, depth, master_seed, b, min(B, trials - b * B), union)
+
+    blocks = range(-(-trials // B))
+    if threads == 1:
+        return map(run, blocks)
+    with ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
+        return list(pool.map(run, blocks))
 
 
 def _check_budgets(N: int, M: int, depth: int, trials: int) -> None:
@@ -382,12 +451,15 @@ def run_trials(
 ) -> TrialStats:
     """Simulate ``trials`` independent labelings and aggregate Z statistics.
 
-    Trial t draws from Generator(PCG64(SeedSequence(master_seed,
-    spawn_key=(t,)))), a documented counter-style derivation: trials are
-    independent streams, results do not depend on execution order, and a
-    parallel run reproduces a serial one bit for bit. The interval geometry
-    of ``spec`` does not enter the counts; it is accepted to pin N and to
-    keep one config object per experiment.
+    Trials advance in blocks of B = max(1, _BLOCK_ENTRIES // min(N, M)^depth)
+    trials; block b covers trials [b*B, (b+1)*B) and draws from
+    Generator(PCG64(SeedSequence(master_seed, spawn_key=(b,)))), a
+    counter-style derivation. When B == 1 that is one stream per trial.
+    Blocks are independent streams, so a pool of ``threads`` workers maps
+    over them and reproduces a serial run bit for bit. ``z_distribution``
+    at the same seed histograms these same trials. The interval geometry of
+    ``spec`` does not enter the counts; it is accepted to pin N and to keep
+    one config object per experiment.
     """
     N = p.N
     if spec.N != N:
@@ -400,44 +472,18 @@ def run_trials(
         raise ValueError(f"threads must be at least 1, got {threads}")
     _check_budgets(N, M, depth, trials)
 
-    def run_chunk(t0: int, t1: int):
-        sums = [0] * (depth + 1)
-        sums2 = [0] * (depth + 1)
-        mins = [None] * (depth + 1)
-        maxs = [None] * (depth + 1)
-        union = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
-        for t in range(t0, t1):
-            zs = _trial_z(_trial_rng(master_seed, t), p.as_array(), M, depth, union)
-            for k, z in enumerate(zs):
-                sums[k] += z
-                sums2[k] += z * z
-                if mins[k] is None or z < mins[k]:
-                    mins[k] = z
-                if maxs[k] is None or z > maxs[k]:
-                    maxs[k] = z
-        return sums, sums2, mins, maxs, union
-
-    if threads == 1:
-        parts = [run_chunk(0, trials)]
-    else:
-        bounds_ = [trials * i // threads for i in range(threads + 1)]
-        spans = [(a, b) for a, b in zip(bounds_, bounds_[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            parts = list(pool.map(lambda ab: run_chunk(*ab), spans))
-
+    # per block in int64 (a block's sum of Z^2 stays below 2^48), across
+    # blocks in Python ints, so the totals are exact
     sums = [0] * (depth + 1)
     sums2 = [0] * (depth + 1)
-    mins = [None] * (depth + 1)
-    maxs = [None] * (depth + 1)
+    mins = [math.inf] * (depth + 1)
+    maxs = [0] * (depth + 1)
     union = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
-    for s, s2, mn, mx, un in parts:
-        for k in range(depth + 1):
-            sums[k] += s[k]
-            sums2[k] += s2[k]
-            mins[k] = mn[k] if mins[k] is None else min(mins[k], mn[k])
-            maxs[k] = mx[k] if maxs[k] is None else max(maxs[k], mx[k])
-        for k in range(depth):
-            union[k] |= un[k]
+    for zs in _trial_blocks(p, M, depth, trials, master_seed, threads, union):
+        sums = [a + b for a, b in zip(sums, zs.sum(axis=1).tolist())]
+        sums2 = [a + b for a, b in zip(sums2, (zs * zs).sum(axis=1).tolist())]
+        mins = [min(a, b) for a, b in zip(mins, zs.min(axis=1).tolist())]
+        maxs = [max(a, b) for a, b in zip(maxs, zs.max(axis=1).tolist())]
 
     T = trials
     z_mean = tuple(s / T for s in sums)
@@ -463,31 +509,21 @@ def z_distribution(
 ) -> list[dict[int, int]]:
     """Empirical distribution of the occupancy count at each level 0..depth.
 
-    Returns one ``{z: number of trials}`` histogram per level. All trials
-    advance together through one deterministic stream seeded by
-    ``master_seed``: every occupied word of every trial splits in one batched
-    draw. The per-trial law is identical to ``run_trials``; only the stream
-    layout differs.
+    Returns one ``{z: number of trials}`` histogram per level, keys
+    ascending. The trials are those of ``run_trials`` at the same
+    ``master_seed``: the same blocks of B = max(1, _BLOCK_ENTRIES //
+    min(N, M)^depth) trials on the same per-block streams, so these
+    histograms reproduce its z_mean, z_min and z_max.
     """
     N = p.N
     if M < 2:
         raise ValueError(f"arity must be at least 2, got {M}")
     _check_budgets(N, M, depth, trials)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=master_seed)))
-    parr = p.as_array()
-    state = np.ones((trials, 1), dtype=np.int64)
-    hists: list[dict[int, int]] = [{1: trials}]
-    for _ in range(depth):
-        T, S = state.shape
-        flat = state.reshape(-1)
-        occupied = np.nonzero(flat)[0]
-        child = np.zeros((T * S, N), dtype=np.int64)
-        child[occupied, :] = _multinomial_split(rng, M * flat[occupied], parr)
-        state = child.reshape(T, S * N)
-        zs = np.count_nonzero(state, axis=1)
-        values, counts = np.unique(zs, return_counts=True)
-        hists.append({int(z): int(c) for z, c in zip(values, counts)})
-    return hists
+    hists: list[Counter] = [Counter() for _ in range(depth + 1)]
+    for zs in _trial_blocks(p, M, depth, trials, master_seed, 1, None):
+        for hist, row in zip(hists, zs.tolist()):
+            hist.update(row)
+    return [dict(sorted(hist.items())) for hist in hists]
 
 
 def estimate_dim(z_series: Sequence[float], r: float, window: tuple[int, int]) -> float:
@@ -517,9 +553,16 @@ def energy_estimate(occ: OccupancyMap, spec: IfsSpec, t: float) -> float:
     basic interval of w under ``spec``. This truncates the pair interaction
     at the level's scale r^n (the diagonal is excluded entirely), so it is a
     finite, diagnostic-only reading of the energy, not a convergent value.
+    Raises BudgetError when the Z^2 pairs exceed ``_PAIR_CAP``.
     """
     if t <= 0:
         raise ValueError(f"energy exponent must be positive, got {t}")
+    pairs = len(occ.entries) ** 2
+    if pairs > _PAIR_CAP:
+        raise BudgetError(
+            f"level {occ.level} energy needs Z^2 = {pairs} pairs, "
+            f"over the cap of {_PAIR_CAP} set by _PAIR_CAP"
+        )
     words = sorted(occ.entries.keys())
     if len(words) < 2:
         return 0.0

@@ -180,6 +180,27 @@ class TestDeterministic:
         assert code == 0
         assert path.read_text() == "000\n001\n010\n"
 
+    def test_dump_from_config(self, capsys, tmp_path):
+        path = tmp_path / "words.txt"
+        cfg = tmp_path / "det.json"
+        cfg.write_text(
+            json.dumps({"mode": "deterministic", "m": 3, "n": 3, "dump": str(path)})
+        )
+        code, _, _ = run_cli(capsys, "deterministic", "--config", str(cfg))
+        assert code == 0
+        assert path.read_text() == "000\n001\n010\n"
+
+
+@pytest.mark.parametrize("command", ["table1", "figure1"])
+@pytest.mark.parametrize("mode", ["own", "bounds"])
+def test_table_configs_accept_own_mode_and_bounds(capsys, tmp_path, command, mode):
+    cfg = tmp_path / "table.json"
+    cfg.write_text(json.dumps({"mode": command if mode == "own" else mode, "format": "json"}))
+    code, out, _ = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 0
+    _, flag_out, _ = run_cli(capsys, command, "--format", "json")
+    assert out == flag_out
+
 
 class TestFigure1:
     def test_grid(self, capsys):
@@ -235,6 +256,20 @@ class TestFailures:
         )
         assert code == 3
         assert "budget exceeded" in err
+
+    def test_energy_pair_budget_exit_3(self, capsys, monkeypatch):
+        # a cap of 2^8 pairs trips once a level holds more than 16 words
+        import cantorflip.stochastic as stochastic
+
+        monkeypatch.setattr(stochastic, "_PAIR_CAP", 1 << 8)
+        code, _, err = run_cli(
+            capsys,
+            "energy", "--N", "2", "--M", "2", "--p", "0.5,0.5", "--depth", "12",
+            "--seed", "1",
+        )
+        assert code == 3
+        assert "budget exceeded" in err
+        assert "_PAIR_CAP" in err and "256" in err
 
 
 def test_entry_point_subprocess():

@@ -5,6 +5,8 @@ failures are reproducible bit for bit.
 """
 
 import math
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +30,7 @@ from cantorflip import (
     z_distribution,
     z_n,
 )
+from cantorflip import stochastic
 from cantorflip.errors import BudgetError
 
 SYM = ProbVector((0.5, 0.5))
@@ -225,6 +228,122 @@ class TestZDistribution:
         assert max(hists[3]) <= 8
 
 
+def _dense_trial_z(rng, parr, M, depth, union):
+    """Reference per-trial level loop over dense N^k count arrays.
+
+    The occupied words of each level are split in ascending index order, the
+    order the sparse kernel keeps, so both consume a stream identically.
+    """
+    N = parr.shape[0]
+    state = np.ones(1, dtype=np.int64)
+    zs = [1]
+    for k in range(depth):
+        occupied = np.nonzero(state)[0]
+        child = np.zeros(state.size * N, dtype=np.int64)
+        splits = stochastic._multinomial_split(rng, M * state[occupied], parr)
+        child.reshape(state.size, N)[occupied, :] = splits
+        state = child
+        zs.append(int(np.count_nonzero(state)))
+        union[k] |= state > 0
+    return zs
+
+
+def _dict_evolve(occ, p, rng):
+    """Reference level step over a dict of label-word tuples, in dict order."""
+    words = list(occ.entries)
+    counts = np.fromiter((occ.entries[w] for w in words), dtype=np.int64, count=len(words))
+    splits = stochastic._multinomial_split(rng, occ.M * counts, p.as_array())
+    entries = {}
+    for i, w in enumerate(words):
+        for l in range(p.N):
+            c = int(splits[i, l])
+            if c > 0:
+                entries[w + (l + 1,)] = c
+    return OccupancyMap(occ.level + 1, occ.M, entries)
+
+
+class TestKernelOracles:
+    def test_sparse_kernel_matches_dense_loop_per_trial(self):
+        # N = M = 2 at depth 17: 2^17 > _BLOCK_ENTRIES, so one trial a block
+        N, M, depth, seed = 2, 2, 17, 99
+        assert stochastic._BLOCK_ENTRIES // min(N, M) ** depth == 0
+        parr = SYM.as_array()
+        for t in range(3):
+            union = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
+            want = _dense_trial_z(stochastic._trial_rng(seed, t), parr, M, depth, union)
+            got_union = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
+            got = stochastic._block_z(parr, M, depth, seed, t, 1, got_union)
+            assert got[:, 0].tolist() == want
+            for a, b in zip(got_union, union):
+                assert np.array_equal(a, b)
+
+    def test_run_trials_matches_dense_loop_at_one_trial_per_block(self):
+        N, M, depth, trials, seed = 2, 2, 17, 4, 5
+        union = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
+        zs = np.array(
+            [
+                _dense_trial_z(stochastic._trial_rng(seed, t), SYM.as_array(), M, depth, union)
+                for t in range(trials)
+            ]
+        )
+        s = run_trials(THIRDS_SPEC, SYM, M, depth, trials, master_seed=seed)
+        assert s.z_mean == tuple(zs.sum(axis=0) / trials)
+        assert s.z_min == tuple(zs.min(axis=0).tolist())
+        assert s.z_max == tuple(zs.max(axis=0).tolist())
+        assert s.z_union == (1,) + tuple(int(u.sum()) for u in union)
+
+    def test_thread_count_is_invisible_across_blocks(self):
+        # depth 8 gives blocks of 256 trials, so 1000 trials span 4 blocks
+        runs = [
+            run_trials(THIRDS_SPEC, SYM, 2, 8, 1000, master_seed=23, threads=k)
+            for k in (1, 2, 3)
+        ]
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_shared_union_survives_thread_switching(self):
+        # depth 14 gives blocks of 4 trials: 12 blocks over 8 workers, all
+        # storing into one union bitmap per level while threads switch often
+        p = ProbVector((0.2, 0.8))
+        serial = run_trials(THIRDS_SPEC, p, 2, 14, 48, master_seed=6)
+        interval_ = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            pooled = run_trials(THIRDS_SPEC, p, 2, 14, 48, master_seed=6, threads=8)
+        finally:
+            sys.setswitchinterval(interval_)
+        assert time.perf_counter() - start < 30.0
+        assert pooled == serial
+        assert serial.z_union[14] < 2**14  # unsaturated, so a lost store would show
+
+    def test_z_distribution_histograms_the_run_trials_trials(self):
+        p = ProbVector((0.3, 0.7))
+        s = run_trials(THIRDS_SPEC, p, 3, 7, 1500, master_seed=41)
+        hists = z_distribution(p, 3, 7, 1500, master_seed=41)
+        for k, hist in enumerate(hists):
+            assert sum(hist.values()) == 1500
+            total = sum(z * c for z, c in hist.items())
+            assert total / 1500 == s.z_mean[k]
+            assert min(hist) == s.z_min[k]
+            assert max(hist) == s.z_max[k]
+            assert list(hist) == sorted(hist)
+
+    def test_evolve_matches_dict_reference(self):
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        p = ProbVector((0.2, 0.3, 0.5))
+        occ = ref = OccupancyMap.root(2)
+        for _ in range(6):
+            occ = evolve(occ, p, rng=rng)
+            ref = _dict_evolve(ref, p, ref_rng)
+            assert list(occ.entries.items()) == list(ref.entries.items())
+
+    def test_evolve_keeps_dict_order_of_its_input(self):
+        occ = OccupancyMap(1, 2, {(2,): 1, (1,): 1})
+        got = evolve(occ, SYM, rng=np.random.default_rng(8))
+        want = _dict_evolve(occ, SYM, np.random.default_rng(8))
+        assert list(got.entries.items()) == list(want.entries.items())
+
+
 class TestEstimateDim:
     def test_exact_powers_give_exact_dim(self):
         series = [2**n for n in range(11)]
@@ -268,6 +387,15 @@ class TestEnergy:
                 vals.append(energy_estimate(occ, THIRDS_SPEC, t))
         # growth saturates well below a dimension-violating blowup
         assert max(vals) / min(vals) < 3.0
+
+    def test_pair_budget(self):
+        # 2^15 occupied words: 2^30 pairs exceed the 2^28 cap before any work
+        import itertools
+
+        words = itertools.product((1, 2), repeat=15)
+        occ = OccupancyMap(15, 2, dict.fromkeys(words, 1))
+        with pytest.raises(BudgetError, match="_PAIR_CAP"):
+            energy_estimate(occ, THIRDS_SPEC, 0.5)
 
     def test_single_interval_has_no_offdiagonal_energy(self):
         occ = OccupancyMap(1, 2, {(1,): 2})
