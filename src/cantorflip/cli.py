@@ -431,9 +431,15 @@ def cmd_energy(args) -> int:
     rng = np.random.default_rng(seed)
     occ = OccupancyMap.root(M)
     rows = []
+    stopped = None
     for level in range(1, depth + 1):
-        occ = evolve(occ, p, rng=rng)
-        rows.append((level, energy_estimate(occ, spec, t), spec.r**level))
+        try:
+            occ = evolve(occ, p, rng=rng)
+            rows.append((level, energy_estimate(occ, spec, t), spec.r**level))
+        except (BudgetError, OverflowError) as exc:
+            # emit the completed levels, then exit 3 as any budget stop does
+            stopped = exc
+            break
     fmt = _pick(args, config, "format", "csv")
     out = _pick(args, config, "out")
     if fmt == "json":
@@ -448,6 +454,8 @@ def cmd_energy(args) -> int:
         _emit(_json_doc(doc), out)
     else:
         _emit(_csv("level,energy,scale", rows), out)
+    if stopped is not None:
+        raise stopped
     return 0
 
 

@@ -58,12 +58,14 @@ __all__ = [
 ]
 
 _DENSE_STATE_CAP = 1 << 24  # pooled-union bitmaps: at most 2^24 words a level
+_TRIAL_STATE_CAP = 1 << 24  # one trial's sparse state: at most 2^24 words a level
 _WORK_CAP = 1 << 34  # trials * N^depth
 _EXPLICIT_CAP = 1 << 16  # per-path walk budget (M^depth)
-_COUNT_CAP = 1 << 63  # path counts are int64
+_INT64_MAX = (1 << 63) - 1  # path counts and word codes are int64
 # a block of B > 1 trials holds at most 2^16 words at any level (B * min(N, M)^depth)
 _BLOCK_ENTRIES = 1 << 16
 _PAIR_CAP = 1 << 28  # energy pair sum: at most 2^28 (Z^2) pairs per level
+_PAIR_TILE = 64  # energy pair sum: rows a tile; its 64 x Z buffer is at most 8 MB
 
 
 @dataclass(frozen=True)
@@ -282,7 +284,7 @@ def evolve(
         M = occ.M
     elif M != occ.M:
         raise ValueError(f"arity {M} does not match the map's {occ.M}")
-    if occ.M ** (occ.level + 1) >= _COUNT_CAP:
+    if occ.M ** (occ.level + 1) > _INT64_MAX:
         raise OverflowError(
             "path counts overflow 64-bit at the next level; "
             "lower the depth or switch to trial sampling"
@@ -323,7 +325,7 @@ def occupancy_from_source(source: LabelSource, M: int, depth: int) -> list[Occup
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     if M**depth > _EXPLICIT_CAP:
-        raise BudgetError(f"M^depth = {M**depth} exceeds the per-path walk budget")
+        raise _budget_error(f"M^depth = {M**depth} paths to walk", _EXPLICIT_CAP, "_EXPLICIT_CAP")
     maps = [OccupancyMap.root(M)]
     frontier: list[tuple[tuple[int, ...], EdgeIndex | None]] = [((), None)]
     for level in range(1, depth + 1):
@@ -398,6 +400,11 @@ def _block_z(
     return zs
 
 
+def _block_trials(N: int, M: int, depth: int) -> int:
+    """Trials a block: B = max(1, _BLOCK_ENTRIES // min(N, M)^depth)."""
+    return max(1, _BLOCK_ENTRIES // min(N, M) ** depth)
+
+
 def _trial_blocks(
     p: ProbVector,
     M: int,
@@ -413,7 +420,7 @@ def _trial_blocks(
     without changing any result. Workers share ``union``: they only store
     True into it, so the bitmap does not depend on their interleaving.
     """
-    B = max(1, _BLOCK_ENTRIES // min(p.N, M) ** depth)
+    B = _block_trials(p.N, M, depth)
     parr = p.as_array()
 
     def run(b: int) -> np.ndarray:
@@ -426,17 +433,33 @@ def _trial_blocks(
         return list(pool.map(run, blocks))
 
 
+def _budget_error(request: str, cap: int, name: str) -> BudgetError:
+    return BudgetError(f"{request}, over the cap of {cap} set by {name}")
+
+
 def _check_budgets(N: int, M: int, depth: int, trials: int) -> None:
+    """Bounds shared by ``run_trials`` and ``z_distribution``.
+
+    A block of ``min(B, trials)`` trials codes its level-depth words as
+    j*N^depth + word, so that product must fit int64; one trial holds at most
+    min(N, M)^depth words a level.
+    """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if M**depth >= _COUNT_CAP:
-        raise BudgetError(f"M^depth = {M**depth} overflows 64-bit path counts")
-    if N**depth > _DENSE_STATE_CAP:
-        raise BudgetError(f"N^depth = {N**depth} exceeds the dense state budget")
+    if M**depth > _INT64_MAX:
+        raise _budget_error(f"M^depth = {M**depth} paths a trial", _INT64_MAX, "_INT64_MAX")
+    state = min(N, M) ** depth
+    if state > _TRIAL_STATE_CAP:
+        raise _budget_error(
+            f"min(N, M)^depth = {state} words a trial", _TRIAL_STATE_CAP, "_TRIAL_STATE_CAP"
+        )
+    codes = min(_block_trials(N, M, depth), trials) * N**depth
+    if codes > _INT64_MAX:
+        raise _budget_error(f"B * N^depth = {codes} word codes a block", _INT64_MAX, "_INT64_MAX")
     if trials * N**depth > _WORK_CAP:
-        raise BudgetError(f"trials * N^depth = {trials * N**depth} exceeds the work budget")
+        raise _budget_error(f"trials * N^depth = {trials * N**depth}", _WORK_CAP, "_WORK_CAP")
 
 
 def run_trials(
@@ -471,6 +494,12 @@ def run_trials(
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     _check_budgets(N, M, depth, trials)
+    if N**depth > _DENSE_STATE_CAP:
+        raise _budget_error(
+            f"N^depth = {N**depth} words a pooled-union bitmap",
+            _DENSE_STATE_CAP,
+            "_DENSE_STATE_CAP",
+        )
 
     # per block in int64 (a block's sum of Z^2 stays below 2^48), across
     # blocks in Python ints, so the totals are exact
@@ -553,29 +582,40 @@ def energy_estimate(occ: OccupancyMap, spec: IfsSpec, t: float) -> float:
     basic interval of w under ``spec``. This truncates the pair interaction
     at the level's scale r^n (the diagonal is excluded entirely), so it is a
     finite, diagnostic-only reading of the energy, not a convergent value.
-    Raises BudgetError when the Z^2 pairs exceed ``_PAIR_CAP``.
+
+    The summand is symmetric in the pair, so only the upper triangle j > i
+    is computed and doubled. Rows go in tiles of ``_PAIR_TILE``: each tile's
+    distances to columns j >= i0 are formed in place in one preallocated
+    tile x Z buffer (entries j <= i set to inf, whose power is 0) and reduced
+    to w_i . (D w_j) by two vector products, so the temporaries take
+    O(tile * Z) memory. Raises BudgetError when the Z^2 pairs exceed
+    ``_PAIR_CAP``.
     """
     if t <= 0:
         raise ValueError(f"energy exponent must be positive, got {t}")
     pairs = len(occ.entries) ** 2
     if pairs > _PAIR_CAP:
-        raise BudgetError(
-            f"level {occ.level} energy needs Z^2 = {pairs} pairs, "
-            f"over the cap of {_PAIR_CAP} set by _PAIR_CAP"
+        raise _budget_error(
+            f"level {occ.level} energy needs Z^2 = {pairs} pairs", _PAIR_CAP, "_PAIR_CAP"
         )
     words = sorted(occ.entries.keys())
-    if len(words) < 2:
+    Z = len(words)
+    if Z < 2:
         return 0.0
     denominator = float(occ.M**occ.level)
     weights = np.asarray([occ.entries[w] / denominator for w in words])
     mids = np.asarray([interval(spec, w).midpoint for w in words])
+    buf = np.empty((min(_PAIR_TILE, Z), Z))
+    below = np.tri(buf.shape[0], dtype=bool)  # j <= i inside a tile's leading square
     total = 0.0
-    block = 512
-    for i0 in range(0, len(words), block):
-        i1 = min(i0 + block, len(words))
-        diff = np.abs(mids[i0:i1, None] - mids[None, :])
-        rows = np.arange(i0, i1)
-        diff[rows - i0, rows] = np.inf  # excludes the diagonal: inf^-t = 0
-        contrib = (weights[i0:i1, None] * weights[None, :]) * diff**-t
-        total += float(contrib.sum())
-    return total
+    for i0 in range(0, Z - 1, _PAIR_TILE):
+        i1 = min(i0 + _PAIR_TILE, Z)
+        n = i1 - i0
+        d = buf[:n, : Z - i0]
+        np.subtract(mids[i0:i1, None], mids[None, i0:], out=d)
+        np.abs(d, out=d)
+        d[:, :n][below[:n, :n]] = np.inf
+        np.power(d, -t, out=d)
+        # einsum, not a BLAS gemv: as fast here, without BLAS worker threads
+        total += float(weights[i0:i1] @ np.einsum("ij,j->i", d, weights[i0:]))
+    return 2.0 * total

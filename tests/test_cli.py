@@ -4,6 +4,7 @@ Most cases drive ``main()`` in-process and inspect captured stdout; a
 single subprocess test covers the installed entry point.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -226,6 +227,18 @@ class TestEnergy:
         assert lines[0] == "level,energy,scale"
         assert len(lines) == 6
 
+    def test_readme_example_digest(self, capsys):
+        # pinned from the full-matrix pair sum the tiled sum replaced
+        code, out, _ = run_cli(
+            capsys,
+            "energy", "--N", "2", "--r", R_FLAG, "--M", "2", "--p", "0.5,0.5",
+            "--depth", "8", "--seed", "3",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7075e092fa39152ce4f2072c0d8f7a607f6accc0ef18c8912f52070af08c6bfa"
+        )
+
 
 class TestFailures:
     def test_bad_probabilities_exit_2(self, capsys):
@@ -262,7 +275,7 @@ class TestFailures:
         import cantorflip.stochastic as stochastic
 
         monkeypatch.setattr(stochastic, "_PAIR_CAP", 1 << 8)
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys,
             "energy", "--N", "2", "--M", "2", "--p", "0.5,0.5", "--depth", "12",
             "--seed", "1",
@@ -270,6 +283,13 @@ class TestFailures:
         assert code == 3
         assert "budget exceeded" in err
         assert "_PAIR_CAP" in err and "256" in err
+        # the levels completed before the stop are still emitted
+        lines = out.strip().splitlines()
+        assert lines[0] == "level,energy,scale"
+        levels = [int(line.split(",")[0]) for line in lines[1:]]
+        assert levels == list(range(1, len(levels) + 1))
+        assert len(levels) >= 4  # levels 1-4 hold at most 16 words
+        assert f"level {len(levels) + 1} energy needs" in err
 
 
 def test_entry_point_subprocess():

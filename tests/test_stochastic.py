@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cantorflip import (
+    IfsSpec,
     LabelSource,
     OccupancyMap,
     ProbVector,
@@ -22,6 +23,7 @@ from cantorflip import (
     estimate_dim,
     evolve,
     expected_zn,
+    interval,
     measure,
     occupancy_from_source,
     pi_sequence,
@@ -227,6 +229,56 @@ class TestZDistribution:
         assert min(hists[3]) >= 1
         assert max(hists[3]) <= 8
 
+    def test_runs_past_the_union_bitmap_cap(self):
+        # N^13 = 2^26 words exceed the pooled-union cap, which only run_trials needs;
+        # one trial's state is at most min(N, M)^13 = 2^13 words
+        p = ProbVector.uniform(4)
+        hists = z_distribution(p, 2, 13, 64, master_seed=6)
+        for k, hist in enumerate(hists):
+            assert sum(hist.values()) == 64
+            assert 1 <= min(hist) and max(hist) <= 2**k
+        with pytest.raises(BudgetError, match="_DENSE_STATE_CAP"):
+            run_trials(canonical_spec(4, 0.2), p, 2, 13, 64, master_seed=6)
+
+
+BUDGET_MESSAGES = {
+    "int64 path counts": (
+        lambda: z_distribution(SYM, 1 << 32, 2, 1, 0),
+        r"M\^depth = 18446744073709551616 paths a trial, "
+        r"over the cap of 9223372036854775807 set by _INT64_MAX",
+    ),
+    "trial state": (
+        lambda: z_distribution(SYM, 2, 25, 1, 0),
+        r"min\(N, M\)\^depth = 33554432 words a trial, "
+        r"over the cap of 16777216 set by _TRIAL_STATE_CAP",
+    ),
+    "int64 word codes": (
+        lambda: z_distribution(ProbVector.uniform(1000), 2, 7, 1, 0),
+        r"B \* N\^depth = 10{21} word codes a block, "
+        r"over the cap of 9223372036854775807 set by _INT64_MAX",
+    ),
+    "union bitmap": (
+        lambda: run_trials(canonical_spec(4, 0.2), ProbVector.uniform(4), 2, 13, 1, 0),
+        r"N\^depth = 67108864 words a pooled-union bitmap, "
+        r"over the cap of 16777216 set by _DENSE_STATE_CAP",
+    ),
+    "work": (
+        lambda: run_trials(THIRDS_SPEC, SYM, 2, 20, 1 << 15, 0),
+        r"trials \* N\^depth = 34359738368, over the cap of 17179869184 set by _WORK_CAP",
+    ),
+    "path walk": (
+        lambda: occupancy_from_source(LabelSource.periodic(3), 2, 17),
+        r"M\^depth = 131072 paths to walk, over the cap of 65536 set by _EXPLICIT_CAP",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_MESSAGES))
+def test_budget_message_names_size_cap_and_constant(name):
+    call, message = BUDGET_MESSAGES[name]
+    with pytest.raises(BudgetError, match=message):
+        call()
+
 
 def _dense_trial_z(rng, parr, M, depth, union):
     """Reference per-trial level loop over dense N^k count arrays.
@@ -366,7 +418,66 @@ class TestEstimateDim:
         assert abs(est - math.log(2) / math.log(3)) < 0.05
 
 
+def _full_matrix_energy(occ, spec, t):
+    """The full-matrix pair sum the tiled sum replaced: every ordered pair."""
+    words = sorted(occ.entries.keys())
+    if len(words) < 2:
+        return 0.0
+    denominator = float(occ.M**occ.level)
+    weights = np.asarray([occ.entries[w] / denominator for w in words])
+    mids = np.asarray([interval(spec, w).midpoint for w in words])
+    total = 0.0
+    block = 512
+    for i0 in range(0, len(words), block):
+        i1 = min(i0 + block, len(words))
+        diff = np.abs(mids[i0:i1, None] - mids[None, :])
+        rows = np.arange(i0, i1)
+        diff[rows - i0, rows] = np.inf
+        contrib = (weights[i0:i1, None] * weights[None, :]) * diff**-t
+        total += float(contrib.sum())
+    return total
+
+
+def _double_loop_energy(occ, spec, t):
+    mass = occ.M**occ.level
+    items = [(interval(spec, w).midpoint, c / mass) for w, c in occ.entries.items()]
+    return math.fsum(
+        wi * wj * abs(xi - xj) ** -t
+        for i, (xi, wi) in enumerate(items)
+        for j, (xj, wj) in enumerate(items)
+        if i != j
+    )
+
+
+def _random_occupancy(N, level, Z, seed):
+    """Z distinct level words of {1..N}^level with M = N and random counts."""
+    rng = np.random.default_rng(seed)
+    codes = rng.choice(N**level, size=Z, replace=False)
+    counts = 1 + rng.multinomial(N**level - Z, np.full(Z, 1.0 / Z))
+    words = [tuple(int(d) + 1 for d in np.base_repr(c, N).zfill(level)) for c in codes]
+    return OccupancyMap(level, N, dict(zip(words, counts.tolist())))
+
+
+_TILE = stochastic._PAIR_TILE
+ENERGY_SPECS = {
+    "canonical": (THIRDS_SPEC, 12),
+    "reflected": (IfsSpec(2, 1 / 3, (0.0, 2 / 3), (1, -1)), 12),
+    "uneven": (IfsSpec(3, 0.2, (0.05, 0.3, 0.8), (1, 1, 1)), 8),
+}
+
+
 class TestEnergy:
+    @pytest.mark.parametrize("Z", [2, 3, 40, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1, 2999])
+    @pytest.mark.parametrize("name", sorted(ENERGY_SPECS))
+    def test_tiled_sum_matches_references(self, name, Z):
+        spec, level = ENERGY_SPECS[name]
+        occ = _random_occupancy(spec.N, level, Z, seed=Z)
+        for t in (0.05, 0.5, 2.0):
+            got = energy_estimate(occ, spec, t)
+            assert got == pytest.approx(_full_matrix_energy(occ, spec, t), rel=1e-12)
+            if Z <= 2 * _TILE + 1:
+                assert got == pytest.approx(_double_loop_energy(occ, spec, t), rel=1e-12)
+
     def test_two_interval_anchor(self):
         # intervals [0,1/3] and [2/3,1]: midpoints 1/6 and 5/6, weights 1/2
         occ = OccupancyMap(1, 2, {(1,): 1, (2,): 1})
