@@ -5,9 +5,15 @@ energy. Every run is deterministic given its config and seed. Exit codes:
 0 success, 2 validation problem (bad flags, malformed config, constraint
 violations), 3 exceeded budget (state, depth, or enumeration size).
 
-A JSON config supplies experiment fields; explicit flags override config
-values. CSV output uses '.' decimals, ',' separators, a header row, and 9
-significant digits. CANTORFLIP_THREADS caps simulation parallelism.
+Each subcommand's parameters are written once, in ``COMMANDS``: a
+``Param`` gives the name, the flag's type, the JSON-schema fragment and the
+default. The argparse flags, one config schema per subcommand and the
+resolved parameter dict (defaults, then the JSON config, then explicit
+flags) are all generated from it, so a config accepts exactly the fields
+its subcommand's flags set, plus ``mode`` and, for simulate and energy, the
+``ifs`` geometry. CSV output uses '.' decimals, ',' separators, a header
+row, and 9 significant digits. CANTORFLIP_THREADS caps simulation
+parallelism.
 """
 
 from __future__ import annotations
@@ -15,10 +21,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import jsonschema
 import numpy as np
@@ -47,58 +53,9 @@ from .stochastic import (
     run_trials,
 )
 
-__all__ = ["main", "CONFIG_SCHEMA", "TABLE1_PERIODS"]
+__all__ = ["main", "COMMANDS", "TABLE1_PERIODS"]
 
 TABLE1_PERIODS = (2, 3, 4, 6, 7, 14, 15, 30)
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "mode": {
-            "enum": ["simulate", "bounds", "table1", "figure1", "exact", "deterministic", "energy"]
-        },
-        "ifs": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "N": {"type": "integer", "minimum": 2},
-                "r": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "translations": {"type": "array", "items": {"type": "number"}},
-                "orientations": {"type": "array", "items": {"enum": [1, -1]}},
-            },
-            "required": ["N", "r"],
-        },
-        "N": {"type": "integer", "minimum": 2},
-        "M": {"type": "integer", "minimum": 2},
-        "p": {
-            "type": "array",
-            "minItems": 2,
-            "items": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        },
-        "r": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "depth": {"type": "integer", "minimum": 1},
-        "trials": {"type": "integer", "minimum": 1},
-        "master_seed": {"type": "integer", "minimum": 0},
-        "window": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-        "m": {"type": "integer", "minimum": 2},
-        "offset": {"type": "integer", "minimum": 0},
-        "n": {"type": "integer", "minimum": 0},
-        "n_max": {"type": "integer", "minimum": 0},
-        "grid": {"type": "integer", "minimum": 3},
-        "t": {"type": "number", "exclusiveMinimum": 0},
-        "table": {"enum": ["pi", "zn"]},
-        "dump": {"type": "string"},
-        "out": {"type": "string"},
-        "format": {"enum": ["json", "csv"]},
-    },
-}
 
 
 def _fmt(x) -> str:
@@ -132,40 +89,6 @@ def _config_hash(resolved: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _load_config(path: str | None, command: str, *also: str) -> dict:
-    """Read and validate a config whose mode, if given, is ``command`` or one of ``also``."""
-    if path is None:
-        return {}
-    raw = json.loads(Path(path).read_text())
-    jsonschema.validate(raw, CONFIG_SCHEMA)
-    mode = raw.get("mode")
-    if mode is not None and mode not in (command, *also):
-        raise ValueError(f"config mode {mode!r} does not match command {command!r}")
-    return raw
-
-
-def _pick(args, config: dict, key: str, default=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _parse_p(value) -> tuple[float, ...]:
-    if isinstance(value, str):
-        parts = [s for s in value.split(",") if s.strip() != ""]
-        return tuple(float(s) for s in parts)
-    return tuple(float(x) for x in value)
-
-
-def _require(value, name: str):
-    if value is None:
-        raise ValueError(f"missing required parameter {name}")
-    return value
-
-
 def _threads() -> int:
     raw = os.environ.get("CANTORFLIP_THREADS", "").strip()
     if not raw:
@@ -179,36 +102,35 @@ def _threads() -> int:
     return threads
 
 
-def _prob_vector(args, config, N_hint: int | None) -> ProbVector:
-    p_raw = _pick(args, config, "p")
-    if p_raw is None:
-        if N_hint is None:
+def _prob_vector(params: dict, N: int | None) -> ProbVector:
+    if "p" not in params:
+        if N is None:
             raise ValueError("missing required parameter --p (or --N for uniform p)")
-        return ProbVector.uniform(N_hint)
-    p = _parse_p(p_raw)
-    if N_hint is not None and len(p) != N_hint:
-        raise ValueError(f"--N {N_hint} does not match the {len(p)}-entry p")
-    return ProbVector(p)
+        return ProbVector.uniform(N)
+    p = ProbVector(tuple(params["p"]))
+    if N is not None and p.N != N:
+        raise ValueError(f"--N {N} does not match the {p.N}-entry p")
+    return p
 
 
-def _ifs_spec(args, config, N: int, r: float) -> IfsSpec:
-    if "ifs" in config and getattr(args, "N", None) is None and getattr(args, "r", None) is None:
-        spec = IfsSpec.from_dict(config["ifs"])
-        if spec.N != N:
-            raise ValueError(f"config ifs has N={spec.N} but p has {N} entries")
-        return spec
-    return canonical_spec(N, r)
+def _geometry(params: dict) -> tuple[ProbVector, IfsSpec]:
+    """p and the interval system; N and r, when given, must agree with a config's ifs."""
+    if "ifs" not in params:
+        p = _prob_vector(params, params.get("N"))
+        return p, canonical_spec(p.N, params.get("r", 1.0 / 3.0))
+    spec = IfsSpec.from_dict(params["ifs"])
+    for key in ("N", "r"):
+        if key in params and params[key] != getattr(spec, key):
+            raise ValueError(
+                f"{key} = {params[key]} disagrees with the config's ifs {key} = {getattr(spec, key)}"
+            )
+    return _prob_vector(params, spec.N), spec
 
 
-def cmd_bounds(args) -> int:
-    config = _load_config(args.config, "bounds")
-    p = _prob_vector(args, config, _pick(args, config, "N"))
-    M = int(_require(_pick(args, config, "M"), "--M"))
-    r = float(_pick(args, config, "r", 1.0 / 3.0))
-    report = classify(p, M, r)
-    fmt = _pick(args, config, "format", "json")
-    out = _pick(args, config, "out")
-    if fmt == "csv":
+def cmd_bounds(params: dict) -> int:
+    p = _prob_vector(params, params.get("N"))
+    report = classify(p, params["M"], params["r"])
+    if params["format"] == "csv":
         row = [
             ";".join(_fmt(x) for x in report.p),
             report.M,
@@ -223,74 +145,49 @@ def cmd_bounds(args) -> int:
             report.exact_reason or "",
         ]
         header = "p,M,r,lower,upper,trivial_upper,sandwich,lambda,lambda_degenerate,exact,exact_reason"
-        _emit(_csv(header, [row]), out)
+        _emit(_csv(header, [row]), params.get("out"))
     else:
-        _emit(_json_doc(report.to_dict()), out)
+        _emit(_json_doc(report.to_dict()), params.get("out"))
     return 0
 
 
-def cmd_table1(args) -> int:
-    config = _load_config(args.config, "table1", "bounds")
+def cmd_table1(params: dict) -> int:
     r = 1.0 / 3.0
     rows = []
     for m in TABLE1_PERIODS:
         p = 1.0 / m
         report = classify(ProbVector((p, 1.0 - p)), 2, r)
         rows.append((m, p, report.lower, dim_Fm(m, r), report.upper))
-    fmt = _pick(args, config, "format", "csv")
-    out = _pick(args, config, "out")
-    if fmt == "json":
+    if params["format"] == "json":
         doc = [
             {"m": m, "p": p, "lower": lo, "dim_Fm": d, "upper": up}
             for m, p, lo, d, up in rows
         ]
-        _emit(_json_doc(doc), out)
+        _emit(_json_doc(doc), params.get("out"))
     else:
-        _emit(_csv("m,p,lower,dim_Fm,upper", rows), out)
+        _emit(_csv("m,p,lower,dim_Fm,upper", rows), params.get("out"))
     return 0
 
 
-def cmd_figure1(args) -> int:
-    config = _load_config(args.config, "figure1", "bounds")
-    grid = int(_pick(args, config, "grid", 99))
-    if grid < 3:
-        raise ValueError(f"grid must be at least 3, got {grid}")
-    r = float(_pick(args, config, "r", 1.0 / 3.0))
+def cmd_figure1(params: dict) -> int:
+    grid, r = params["grid"], params["r"]
     rows = []
     for k in range(1, grid + 1):
         p = k / (grid + 1.0)
         vec = ProbVector((p, 1.0 - p))
         rows.append((p, lower_bound(vec, 2, r), upper_bound(vec, 2, r)))
-    fmt = _pick(args, config, "format", "csv")
-    out = _pick(args, config, "out")
-    if fmt == "json":
+    if params["format"] == "json":
         doc = [{"p": p, "lower": lo, "upper": up} for p, lo, up in rows]
-        _emit(_json_doc(doc), out)
+        _emit(_json_doc(doc), params.get("out"))
     else:
-        _emit(_csv("p,lower,upper", rows), out)
+        _emit(_csv("p,lower,upper", rows), params.get("out"))
     return 0
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args.config, "simulate")
-    N_hint = _pick(args, config, "N")
-    if N_hint is None and "ifs" in config:
-        N_hint = config["ifs"]["N"]
-    p = _prob_vector(args, config, N_hint)
-    M = int(_require(_pick(args, config, "M"), "--M"))
-    r = float(_pick(args, config, "r", config.get("ifs", {}).get("r", 1.0 / 3.0)))
-    depth = int(_require(_pick(args, config, "depth"), "--depth"))
-    trials = int(_pick(args, config, "trials", 100))
-    seed = int(_pick(args, config, "master_seed", 0))
-    window_raw = _pick(args, config, "window")
-    if window_raw is None:
-        window = (max(0, depth // 2), depth)
-    elif isinstance(window_raw, str):
-        lo, hi = (int(s) for s in window_raw.split(","))
-        window = (lo, hi)
-    else:
-        window = (int(window_raw[0]), int(window_raw[1]))
-    spec = _ifs_spec(args, config, p.N, r)
+def cmd_simulate(params: dict) -> int:
+    p, spec = _geometry(params)
+    M, depth, trials, seed = (params[k] for k in ("M", "depth", "trials", "master_seed"))
+    window = tuple(params.get("window", (max(0, depth // 2), depth)))
     stats = run_trials(spec, p, M, depth, trials, seed, threads=_threads())
     estimate = estimate_dim(stats.z_union, spec.r, window)
     resolved = {
@@ -323,9 +220,8 @@ def cmd_simulate(args) -> int:
         }
         for k in range(depth + 1)
     ]
-    fmt = _pick(args, config, "format", "json")
-    out = _pick(args, config, "out")
-    if fmt == "csv":
+    out = params.get("out")
+    if params["format"] == "csv":
         rows = [
             (k, stats.z_mean[k], stats.z_var[k], stats.z_min[k], stats.z_max[k])
             for k in range(depth + 1)
@@ -340,28 +236,22 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_exact(args) -> int:
-    config = _load_config(args.config, "exact")
-    table = _pick(args, config, "table", "pi")
-    fmt = _pick(args, config, "format", "csv")
-    out = _pick(args, config, "out")
-    if table == "pi":
-        N = int(_require(_pick(args, config, "N"), "--N"))
-        M = int(_require(_pick(args, config, "M"), "--M"))
-        n_max = int(_pick(args, config, "n_max", 30))
-        seq = pi_sequence(N, M, n_max)
+def cmd_exact(params: dict) -> int:
+    fmt, out = params["format"], params.get("out")
+    if params["table"] == "pi":
+        if "N" not in params:
+            raise ValueError("missing required parameter --N")
+        seq = pi_sequence(params["N"], params["M"], params.get("n_max", 30))
         rows = [(n, seq[n]) for n in range(len(seq))]
         if fmt == "json":
             _emit(_json_doc([{"n": n, "pi": v} for n, v in rows]), out)
         else:
             _emit(_csv("n,pi", rows), out)
     else:
-        p = _prob_vector(args, config, _pick(args, config, "N"))
-        M = int(_require(_pick(args, config, "M"), "--M"))
-        n_max = int(_pick(args, config, "n_max", 10))
+        p, M = _prob_vector(params, params.get("N")), params["M"]
         rows = [
             (n, expected_zn(p, M, n), multinomial_bound(p, M, n))
-            for n in range(n_max + 1)
+            for n in range(params.get("n_max", 10) + 1)
         ]
         if fmt == "json":
             _emit(
@@ -372,17 +262,11 @@ def cmd_exact(args) -> int:
     return 0
 
 
-def cmd_deterministic(args) -> int:
-    config = _load_config(args.config, "deterministic")
-    m = int(_require(_pick(args, config, "m"), "--m"))
-    r = float(_pick(args, config, "r", 1.0 / 3.0))
-    n = _pick(args, config, "n")
-    offset = _pick(args, config, "offset")
-    spec = DeterministicSpec(m, None if offset is None else int(offset))
-    fmt = _pick(args, config, "format", "json")
-    out = _pick(args, config, "out")
-    if fmt == "csv":
-        _emit(_csv("m,L,rho_L,dim_Fm", dimension_rows([m], r)), out)
+def cmd_deterministic(params: dict) -> int:
+    m, r, n = params["m"], params["r"], params.get("n")
+    spec = DeterministicSpec(m, params.get("offset"))
+    if params["format"] == "csv":
+        _emit(_csv("m,L,rho_L,dim_Fm", dimension_rows([m], r)), params.get("out"))
         return 0
     report: dict = {
         "m": m,
@@ -395,7 +279,6 @@ def cmd_deterministic(args) -> int:
     if m == 2:
         report["note"] = "m = 2 marks every other edge and reproduces the full construction"
     if n is not None:
-        n = int(n)
         words = tree_words(spec, n)
         report["n"] = n
         report["word_count"] = len(words)
@@ -408,26 +291,16 @@ def cmd_deterministic(args) -> int:
                 "tree_equals_graph": words == graph_set,
                 "tree_within_sft": words <= sft_set,
             }
-        dump = _pick(args, config, "dump")
-        if dump:
-            Path(dump).write_text(dump_words(words))
-    _emit(_json_doc(report), out)
+        if params.get("dump"):
+            Path(params["dump"]).write_text(dump_words(words))
+    _emit(_json_doc(report), params.get("out"))
     return 0
 
 
-def cmd_energy(args) -> int:
-    config = _load_config(args.config, "energy")
-    N_hint = _pick(args, config, "N")
-    if N_hint is None and "ifs" in config:
-        N_hint = config["ifs"]["N"]
-    p = _prob_vector(args, config, N_hint)
-    M = int(_pick(args, config, "M", 2))
-    r = float(_pick(args, config, "r", config.get("ifs", {}).get("r", 1.0 / 3.0)))
-    depth = int(_pick(args, config, "depth", 8))
-    seed = int(_pick(args, config, "master_seed", 0))
-    t_raw = _pick(args, config, "t")
-    t = 0.5 * lower_bound(p, M, r) if t_raw is None else float(t_raw)
-    spec = _ifs_spec(args, config, p.N, r)
+def cmd_energy(params: dict) -> int:
+    p, spec = _geometry(params)
+    M, depth, seed = params["M"], params["depth"], params["master_seed"]
+    t = params["t"] if "t" in params else 0.5 * lower_bound(p, M, spec.r)
     rng = np.random.default_rng(seed)
     occ = OccupancyMap.root(M)
     rows = []
@@ -440,9 +313,7 @@ def cmd_energy(args) -> int:
             # emit the completed levels, then exit 3 as any budget stop does
             stopped = exc
             break
-    fmt = _pick(args, config, "format", "csv")
-    out = _pick(args, config, "out")
-    if fmt == "json":
+    if params["format"] == "json":
         doc = {
             "t": t,
             "master_seed": seed,
@@ -451,20 +322,189 @@ def cmd_energy(args) -> int:
                 {"level": lv, "energy": e, "scale": sc} for lv, e, sc in rows
             ],
         }
-        _emit(_json_doc(doc), out)
+        _emit(_json_doc(doc), params.get("out"))
     else:
-        _emit(_csv("level,energy,scale", rows), out)
+        _emit(_csv("level,energy,scale", rows), params.get("out"))
     if stopped is not None:
         raise stopped
     return 0
 
 
-def _add_common(sub, seed: bool = False) -> None:
-    sub.add_argument("--config", help="JSON experiment config; flags override its fields")
-    sub.add_argument("--out", help="output path (stdout when omitted)")
-    sub.add_argument("--format", choices=["json", "csv"], dest="format")
-    if seed:
-        sub.add_argument("--seed", type=int, dest="master_seed", help="master seed")
+REQUIRED = object()  # a Param default: the resolved dict must set it
+
+
+def _comma_list(item: type) -> Callable:
+    """Parse '0.3,0.7' from a flag, or [0.3, 0.7] from a config, to a list of ``item``."""
+
+    def comma_list(value):
+        if isinstance(value, str):
+            value = [s for s in value.split(",") if s.strip()]
+        return [item(x) for x in value]
+
+    return comma_list
+
+
+class Param(NamedTuple):
+    """One subcommand parameter: flag, config field and resolved-dict key."""
+
+    name: str
+    # argparse type, also applied to the validated value; None: config-only
+    type: Callable | None
+    schema: dict  # JSON-schema fragment; its "description" is the flag's help
+    default: Any = None  # REQUIRED, or None when unset or derived by the command
+    flag: str | None = None  # when not --name with '_' spelled '-'
+
+
+class Command(NamedTuple):
+    help: str
+    run: Callable[[dict], int]
+    params: tuple[Param, ...]
+    modes: tuple[str, ...] = ()  # config modes accepted besides the command's own
+
+
+_RATIO = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
+_N = Param("N", int, {"type": "integer", "minimum": 2})
+_M = Param("M", int, {"type": "integer", "minimum": 2}, REQUIRED)
+_P = Param(
+    "p",
+    _comma_list(float),
+    {"type": "array", "minItems": 2, "items": _RATIO,
+     "description": "comma-separated probabilities, e.g. 0.5,0.5"},
+)
+_R = Param("r", float, _RATIO)  # simulate and energy take r from ifs, else 1/3
+_R3 = _R._replace(default=1.0 / 3.0)
+_DEPTH = Param("depth", int, {"type": "integer", "minimum": 1}, REQUIRED)
+_SEED = Param(
+    "master_seed", int, {"type": "integer", "minimum": 0, "description": "master seed"}, 0, "--seed"
+)
+_IFS = Param(
+    "ifs",
+    None,
+    {
+        "type": "object",
+        "additionalProperties": False,
+        "properties": {
+            "N": {"type": "integer", "minimum": 2},
+            "r": _RATIO,
+            "translations": {"type": "array", "items": {"type": "number"}},
+            "orientations": {"type": "array", "items": {"enum": [1, -1]}},
+        },
+        "required": ["N", "r"],
+    },
+)
+_OUT = Param("out", str, {"type": "string", "description": "output path (stdout when omitted)"})
+
+
+def _format(default: str) -> Param:
+    return Param("format", str, {"enum": ["json", "csv"]}, default)
+
+
+COMMANDS = {
+    "bounds": Command(
+        "dimension bounds report for one (p, M, r)",
+        cmd_bounds,
+        (_N, _M, _P, _R3, _OUT, _format("json")),
+    ),
+    "table1": Command(
+        "golden comparison table at r=1/3, p=1/m",
+        cmd_table1,
+        (_OUT, _format("csv")),
+        ("bounds",),
+    ),
+    "figure1": Command(
+        "two-map bound curves on a p grid",
+        cmd_figure1,
+        (Param("grid", int, {"type": "integer", "minimum": 3}, 99), _R3, _OUT, _format("csv")),
+        ("bounds",),
+    ),
+    "simulate": Command(
+        "Monte Carlo occupancy statistics",
+        cmd_simulate,
+        (
+            _N, _M, _P, _R, _DEPTH,
+            Param("trials", int, {"type": "integer", "minimum": 1}, 100),
+            _SEED,
+            Param(
+                "window",
+                _comma_list(int),
+                {"type": "array", "items": {"type": "integer", "minimum": 0},
+                 "minItems": 2, "maxItems": 2,
+                 "description": "inclusive regression window, e.g. 10,20 (default depth//2,depth)"},
+            ),
+            _IFS, _OUT, _format("json"),
+        ),
+    ),
+    "exact": Command(
+        "recursion tables: pi or expected-count-vs-bound",
+        cmd_exact,
+        (
+            Param("table", str, {"enum": ["pi", "zn"]}, "pi"),
+            _N, _M, _P,
+            Param("n_max", int, {"type": "integer", "minimum": 0,
+                                 "description": "last n (default 30 for pi, 10 for zn)"}),
+            _OUT, _format("csv"),
+        ),
+    ),
+    "deterministic": Command(
+        "periodic-marking report and word sets",
+        cmd_deterministic,
+        (
+            Param("m", int, {"type": "integer", "minimum": 2}, REQUIRED),
+            _R3,
+            Param("n", int, {"type": "integer", "minimum": 0}),
+            Param("offset", int, {"type": "integer", "minimum": 0}),
+            Param("dump", str, {"type": "string",
+                                "description": "write the level-n word set to this path"}),
+            _OUT, _format("json"),
+        ),
+    ),
+    "energy": Command(
+        "discrete t-energy diagnostic per level",
+        cmd_energy,
+        (
+            _N, _M._replace(default=2), _P, _R, _DEPTH._replace(default=8), _SEED,
+            Param("t", float, {"type": "number", "exclusiveMinimum": 0,
+                               "description": "energy exponent (default half the lower bound)"}),
+            _IFS, _OUT, _format("csv"),
+        ),
+    ),
+}
+
+
+def _schema(name: str, command: Command) -> dict:
+    return {
+        "$schema": "https://json-schema.org/draft/2020-12/schema",
+        "type": "object",
+        "additionalProperties": False,
+        "properties": {
+            "mode": {"enum": [name, *command.modes]},
+            **{p.name: p.schema for p in command.params},
+        },
+        "required": [p.name for p in command.params if p.default is REQUIRED],
+    }
+
+
+_VALIDATORS = {
+    name: jsonschema.Draft202012Validator(_schema(name, command))
+    for name, command in COMMANDS.items()
+}
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """Defaults, then the config file, then explicit flags; validated, then typed."""
+    params = COMMANDS[args.command].params
+    resolved = {p.name: p.default for p in params if p.default not in (None, REQUIRED)}
+    if args.config is not None:
+        config = json.loads(Path(args.config).read_text())
+        if not isinstance(config, dict):
+            raise ValueError(f"config must be a JSON object, got {type(config).__name__}")
+        resolved.update(config)
+    for p in params:
+        if p.type is not None and getattr(args, p.name) is not None:
+            resolved[p.name] = getattr(args, p.name)
+    _VALIDATORS[args.command].validate(resolved)
+    types = {p.name: p.type for p in params if p.type is not None}
+    return {k: types[k](v) if k in types else v for k, v in resolved.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -474,73 +514,28 @@ def _build_parser() -> argparse.ArgumentParser:
         "bounds, exact recursions, simulation, and reference tables.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("bounds", help="dimension bounds report for one (p, M, r)")
-    sub.add_argument("--N", type=int)
-    sub.add_argument("--M", type=int)
-    sub.add_argument("--p", help="comma-separated probabilities, e.g. 0.5,0.5")
-    sub.add_argument("--r", type=float)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_bounds)
-
-    sub = commands.add_parser("table1", help="golden comparison table at r=1/3, p=1/m")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_table1)
-
-    sub = commands.add_parser("figure1", help="two-map bound curves on a p grid")
-    sub.add_argument("--grid", type=int)
-    sub.add_argument("--r", type=float)
-    _add_common(sub)
-    sub.set_defaults(func=cmd_figure1)
-
-    sub = commands.add_parser("simulate", help="Monte Carlo occupancy statistics")
-    sub.add_argument("--N", type=int)
-    sub.add_argument("--M", type=int)
-    sub.add_argument("--p")
-    sub.add_argument("--r", type=float)
-    sub.add_argument("--depth", type=int)
-    sub.add_argument("--trials", type=int)
-    sub.add_argument("--window", help="inclusive regression window, e.g. 10,20")
-    _add_common(sub, seed=True)
-    sub.set_defaults(func=cmd_simulate)
-
-    sub = commands.add_parser("exact", help="recursion tables: pi or expected-count-vs-bound")
-    sub.add_argument("--table", choices=["pi", "zn"])
-    sub.add_argument("--N", type=int)
-    sub.add_argument("--M", type=int)
-    sub.add_argument("--p")
-    sub.add_argument("--n-max", type=int, dest="n_max")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_exact)
-
-    sub = commands.add_parser("deterministic", help="periodic-marking report and word sets")
-    sub.add_argument("--m", type=int)
-    sub.add_argument("--r", type=float)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--offset", type=int)
-    sub.add_argument("--dump", help="write the level-n word set to this path")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_deterministic)
-
-    sub = commands.add_parser("energy", help="discrete t-energy diagnostic per level")
-    sub.add_argument("--N", type=int)
-    sub.add_argument("--M", type=int)
-    sub.add_argument("--p")
-    sub.add_argument("--r", type=float)
-    sub.add_argument("--depth", type=int)
-    sub.add_argument("--t", type=float)
-    _add_common(sub, seed=True)
-    sub.set_defaults(func=cmd_energy)
-
+    for name, command in COMMANDS.items():
+        sub = commands.add_parser(name, help=command.help)
+        sub.add_argument("--config", help="JSON experiment config; flags override its fields")
+        for p in command.params:
+            if p.type is not None:
+                sub.add_argument(
+                    p.flag or "--" + p.name.replace("_", "-"),
+                    dest=p.name,
+                    type=p.type,
+                    choices=p.schema.get("enum"),
+                    help=p.schema.get("description"),
+                )
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command].run(_resolve(args))
     except jsonschema.ValidationError as exc:
-        sys.stderr.write(f"config validation error: {exc.message}\n")
+        where = "/".join(str(k) for k in exc.absolute_path)
+        sys.stderr.write(f"config validation error: {where + ': ' if where else ''}{exc.message}\n")
         return 2
     except ValueError as exc:
         sys.stderr.write(f"validation error: {exc}\n")

@@ -3,9 +3,7 @@
 Every edge of the full M-ary tree carries a label in {1..N}; a root path of
 depth n therefore carries a label word in {1..N}^n. The occupancy map of a
 level records, for each label word, how many of the M^n root paths carry it;
-``z_n`` counts the distinct occupied words and ``measure`` normalizes the
-counts into a probability measure on words (equivalently, on the basic
-intervals of an interval system with N maps).
+``z_n`` counts the distinct occupied words.
 
 With labels drawn i.i.d. from a probability vector p, the M*c children of
 the c paths sharing a word w split among the N one-letter extensions as a
@@ -32,7 +30,6 @@ import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,11 +42,9 @@ __all__ = [
     "ProbVector",
     "LabelSource",
     "OccupancyMap",
-    "RandomMeasure",
     "TrialStats",
     "evolve",
     "z_n",
-    "measure",
     "run_trials",
     "z_distribution",
     "estimate_dim",
@@ -59,7 +54,7 @@ __all__ = [
 
 _DENSE_STATE_CAP = 1 << 24  # pooled-union bitmaps: at most 2^24 words a level
 _TRIAL_STATE_CAP = 1 << 24  # one trial's sparse state: at most 2^24 words a level
-_WORK_CAP = 1 << 34  # trials * N^depth
+_WORK_CAP = 1 << 34  # trials * min(N, M)^depth words
 _EXPLICIT_CAP = 1 << 16  # per-path walk budget (M^depth)
 _INT64_MAX = (1 << 63) - 1  # path counts and word codes are int64
 # a block of B > 1 trials holds at most 2^16 words at any level (B * min(N, M)^depth)
@@ -202,18 +197,6 @@ class OccupancyMap:
         return cls(0, M, {(): 1})
 
 
-@dataclass(frozen=True)
-class RandomMeasure:
-    """Normalized occupancy: word -> exact rational weight count / M^level."""
-
-    level: int
-    weights: dict[tuple[int, ...], Fraction]
-
-    def __post_init__(self) -> None:
-        if sum(self.weights.values(), Fraction(0)) != 1:
-            raise ValueError("measure weights must sum to 1 exactly")
-
-
 def _as_generator(rng: np.random.Generator | int | None) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
@@ -306,13 +289,6 @@ def evolve(
 def z_n(occ: OccupancyMap) -> int:
     """Number of distinct occupied label words at the map's level."""
     return len(occ.entries)
-
-
-def measure(occ: OccupancyMap) -> RandomMeasure:
-    """Normalize an occupancy map to exact rational weights count / M^level."""
-    denominator = occ.M**occ.level
-    weights = {w: Fraction(c, denominator) for w, c in occ.entries.items()}
-    return RandomMeasure(occ.level, weights)
 
 
 def occupancy_from_source(source: LabelSource, M: int, depth: int) -> list[OccupancyMap]:
@@ -458,8 +434,8 @@ def _check_budgets(N: int, M: int, depth: int, trials: int) -> None:
     codes = min(_block_trials(N, M, depth), trials) * N**depth
     if codes > _INT64_MAX:
         raise _budget_error(f"B * N^depth = {codes} word codes a block", _INT64_MAX, "_INT64_MAX")
-    if trials * N**depth > _WORK_CAP:
-        raise _budget_error(f"trials * N^depth = {trials * N**depth}", _WORK_CAP, "_WORK_CAP")
+    if trials * state > _WORK_CAP:
+        raise _budget_error(f"trials * min(N, M)^depth = {trials * state}", _WORK_CAP, "_WORK_CAP")
 
 
 def run_trials(

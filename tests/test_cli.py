@@ -7,12 +7,14 @@ single subprocess test covers the installed entry point.
 import hashlib
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from cantorflip.cli import main
+from cantorflip.cli import COMMANDS, main
 
 
 def run_cli(capsys, *argv):
@@ -201,6 +203,116 @@ def test_table_configs_accept_own_mode_and_bounds(capsys, tmp_path, command, mod
     assert code == 0
     _, flag_out, _ = run_cli(capsys, command, "--format", "json")
     assert out == flag_out
+
+
+class TestConfigFields:
+    IFS = {"N": 2, "r": 0.25, "translations": [0, 0.75], "orientations": [-1, 1]}
+    ENERGY = {"mode": "energy", "ifs": IFS, "M": 2, "p": [0.5, 0.5], "depth": 4, "master_seed": 3}
+
+    def run_config(self, capsys, tmp_path, config, *flags):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(config))
+        return run_cli(capsys, "energy", "--config", str(cfg), *flags)
+
+    @pytest.mark.parametrize("flag", [("--N", "2"), ("--r", "0.25")])
+    def test_agreeing_flag_keeps_the_ifs_geometry(self, capsys, tmp_path, flag):
+        _, plain, _ = self.run_config(capsys, tmp_path, self.ENERGY)
+        code, flagged, _ = self.run_config(capsys, tmp_path, self.ENERGY, *flag)
+        _, canonical, _ = run_cli(
+            capsys,
+            "energy", "--N", "2", "--r", "0.25", "--M", "2", "--p", "0.5,0.5",
+            "--depth", "4", "--seed", "3",
+        )
+        assert code == 0
+        assert flagged == plain != canonical
+
+    @pytest.mark.parametrize("where", ["flag", "field"])
+    def test_r_disagreeing_with_ifs_exits_2(self, capsys, tmp_path, where):
+        if where == "flag":
+            code, out, err = self.run_config(capsys, tmp_path, self.ENERGY, "--r", "0.2")
+        else:
+            code, out, err = self.run_config(capsys, tmp_path, {**self.ENERGY, "r": 0.2})
+        assert code == 2
+        assert out == ""
+        assert "r = 0.2" in err and "r = 0.25" in err
+
+    def test_field_the_command_does_not_read_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "table.json"
+        cfg.write_text(json.dumps({"mode": "table1", "r": 0.2}))
+        code, out, err = run_cli(capsys, "table1", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "config validation error" in err and "'r' was unexpected" in err
+
+
+# One sample per parameter name, valid for every subcommand that has it; a
+# new parameter without a sample fails test_flag_equals_config_field.
+SAMPLES = {
+    "N": 2, "M": 3, "p": [0.4, 0.6], "r": 0.2, "depth": 5, "trials": 7,
+    "master_seed": 11, "window": [2, 5], "grid": 11, "n_max": 5, "m": 6,
+    "n": 5, "offset": 1, "t": 0.3,
+}
+# A config each subcommand runs on
+BASE = {
+    "bounds": {"M": 2, "p": [0.3, 0.7]},
+    "table1": {},
+    "figure1": {"grid": 9},
+    "simulate": {"M": 2, "p": [0.5, 0.5], "depth": 6, "trials": 5},
+    "exact": {"table": "zn", "N": 2, "M": 2, "n_max": 4},
+    "deterministic": {"m": 3, "n": 4},
+    "energy": {"M": 2, "p": [0.5, 0.5], "depth": 4},
+}
+FLAG_PARAMS = [
+    (command, param)
+    for command, spec in COMMANDS.items()
+    for param in spec.params
+    if param.type is not None
+]
+
+
+@pytest.mark.parametrize(
+    "command,param", FLAG_PARAMS, ids=[f"{c}-{p.name}" for c, p in FLAG_PARAMS]
+)
+def test_flag_equals_config_field(capsys, tmp_path, command, param):
+    if "enum" in param.schema:  # the choice that is not the default
+        value = next(v for v in param.schema["enum"] if v != param.default)
+    elif param.schema.get("type") == "string":  # an output path
+        value = str(tmp_path / param.name)
+    else:
+        value = SAMPLES[param.name]
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    flag = param.flag or "--" + param.name.replace("_", "-")
+    base = {k: v for k, v in BASE[command].items() if k != param.name}
+    cfg = tmp_path / "exp.json"
+    results = []
+    for config, flags in (({**base, param.name: value}, []), (base, [flag, text])):
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg), *flags)
+        written = sorted((f.name, f.read_text()) for f in tmp_path.iterdir() if f != cfg)
+        for f in tmp_path.iterdir():
+            if f != cfg:
+                f.unlink()
+        assert code == 0, err
+        results.append((out, err, written))
+    assert results[0] == results[1]
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("cantorflip ")]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_lines(), ids=" ".join)
+def test_readme_cli_line_runs(capsys, tmp_path, argv):
+    argv = [
+        str(tmp_path / "words.txt") if before == "--dump" else arg
+        for before, arg in zip(["", *argv], argv)
+    ]
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    assert (tmp_path / "out").read_text()
 
 
 class TestFigure1:

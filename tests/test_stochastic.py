@@ -24,7 +24,6 @@ from cantorflip import (
     evolve,
     expected_zn,
     interval,
-    measure,
     occupancy_from_source,
     pi_sequence,
     run_trials,
@@ -121,15 +120,6 @@ class TestEvolve:
         occ = OccupancyMap(62, 2, {(1,) * 62: 2**62})
         with pytest.raises(OverflowError):
             evolve(occ, SYM, rng=np.random.default_rng(0))
-
-    def test_measure_normalises(self):
-        rng = np.random.default_rng(6)
-        occ = OccupancyMap.root(2)
-        for _ in range(5):
-            occ = evolve(occ, SYM, rng=rng)
-        mu = measure(occ)
-        assert sum(mu.weights.values(), Fraction(0)) == 1
-        assert set(mu.weights) <= set(occ.entries)
 
 
 class TestOccupancyFromSource:
@@ -240,6 +230,12 @@ class TestZDistribution:
         with pytest.raises(BudgetError, match="_DENSE_STATE_CAP"):
             run_trials(canonical_spec(4, 0.2), p, 2, 13, 64, master_seed=6)
 
+    def test_work_cap_counts_words_a_trial(self):
+        # trials * N^18 = 2^36 is over _WORK_CAP, but the one trial holds at
+        # most min(N, M)^18 = 2^18 words
+        hists = z_distribution(ProbVector.uniform(4), 2, 18, 1, 0)
+        assert [sum(hist.values()) for hist in hists] == [1] * 19
+
 
 BUDGET_MESSAGES = {
     "int64 path counts": (
@@ -264,7 +260,7 @@ BUDGET_MESSAGES = {
     ),
     "work": (
         lambda: run_trials(THIRDS_SPEC, SYM, 2, 20, 1 << 15, 0),
-        r"trials \* N\^depth = 34359738368, over the cap of 17179869184 set by _WORK_CAP",
+        r"trials \* min\(N, M\)\^depth = 34359738368, over the cap of 17179869184 set by _WORK_CAP",
     ),
     "path walk": (
         lambda: occupancy_from_source(LabelSource.periodic(3), 2, 17),
