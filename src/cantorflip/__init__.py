@@ -81,70 +81,3 @@ from .symbolic import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundsReport",
-    "BudgetError",
-    "DeterministicSpec",
-    "EQUAL",
-    "GREATER",
-    "GrowthEstimate",
-    "IfsSpec",
-    "Interval",
-    "LESS",
-    "LabelSource",
-    "LabelWord",
-    "LambdaRoot",
-    "ModGraph",
-    "OccupancyMap",
-    "PathWord",
-    "PiSequence",
-    "ProbVector",
-    "SandwichCheck",
-    "TrialStats",
-    "a_probability",
-    "brute_force_a",
-    "canonical_spec",
-    "child_indices",
-    "classify",
-    "compare_star",
-    "dim_C",
-    "dim_Fm",
-    "dimension_rows",
-    "dump_words",
-    "energy_estimate",
-    "entropy",
-    "entropy_threshold",
-    "enumerate_z_distribution",
-    "estimate_dim",
-    "evolve",
-    "expected_zn",
-    "from_label_symbols",
-    "gamma_fixed_point",
-    "geometric_threshold",
-    "graph_words",
-    "growth_rate",
-    "interval",
-    "kappa",
-    "kappa_inverse",
-    "level_of",
-    "lower_bound",
-    "mod_graph",
-    "multinomial_bound",
-    "occupancy_from_source",
-    "phi",
-    "pi_sequence",
-    "rho",
-    "run_trials",
-    "sandwich_check",
-    "sft_count",
-    "sft_words",
-    "solve_lambda",
-    "to_label_symbols",
-    "tree_words",
-    "upper_bound",
-    "xi",
-    "z_distribution",
-    "z_n",
-    "__version__",
-]

@@ -19,6 +19,7 @@ parallelism.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -239,8 +240,6 @@ def cmd_simulate(params: dict) -> int:
 def cmd_exact(params: dict) -> int:
     fmt, out = params["format"], params.get("out")
     if params["table"] == "pi":
-        if "N" not in params:
-            raise ValueError("missing required parameter --N")
         seq = pi_sequence(params["N"], params["M"], params.get("n_max", 30))
         rows = [(n, seq[n]) for n in range(len(seq))]
         if fmt == "json":
@@ -360,6 +359,7 @@ class Command(NamedTuple):
     run: Callable[[dict], int]
     params: tuple[Param, ...]
     modes: tuple[str, ...] = ()  # config modes accepted besides the command's own
+    rules: dict = {}  # extra JSON-schema keywords tying params together
 
 
 _RATIO = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
@@ -444,6 +444,10 @@ COMMANDS = {
                                  "description": "last n (default 30 for pi, 10 for zn)"}),
             _OUT, _format("csv"),
         ),
+        rules={
+            "if": {"properties": {"table": {"const": "pi"}}},
+            "then": {"required": ["N"], "properties": {"p": {"not": {}}}},  # pi reads no p
+        },
     ),
     "deterministic": Command(
         "periodic-marking report and word sets",
@@ -481,6 +485,7 @@ def _schema(name: str, command: Command) -> dict:
             **{p.name: p.schema for p in command.params},
         },
         "required": [p.name for p in command.params if p.default is REQUIRED],
+        **command.rules,
     }
 
 
@@ -507,6 +512,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     return {k: types[k](v) if k in types else v for k, v in resolved.items()}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cantorflip",

@@ -6,10 +6,12 @@ over {0,1} and maps to the library's {1,2} alphabet only at the boundary).
 The level-n word sets grow like rho_L^n where L is determined by the block
 2^(L+1)-1 <= m <= 2^(L+2)-2 and rho_L is the positive root of
 x^(L+1) = x^L + 1, which makes the limit set's dimension
-log rho_L / log(1/r). Three independent generators produce the word sets:
-the tree labeling itself, walks on the mod-m digraph, and the subshift
-forbidding 1 0^k 1 for k < L; their agreement is the module's main
-correctness check.
+log rho_L / log(1/r). tree_words (edge residues mod m) and graph_words
+(walks on the mod-m digraph) run one subset-construction determinizer that
+counts the words before it builds them, at a cost per word; their agreement
+checks that the two automata match under the relabelling c <-> c+1. The
+determinizer's own oracles share none of its code: the literal tree (in the
+tests) and the subshift forbidding 1 0^k 1 for k < L (sft_words, sft_count).
 """
 
 from __future__ import annotations
@@ -18,30 +20,11 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .errors import BudgetError
-
-__all__ = [
-    "DeterministicSpec",
-    "ModGraph",
-    "GrowthEstimate",
-    "level_of",
-    "rho",
-    "dim_Fm",
-    "mod_graph",
-    "tree_words",
-    "graph_words",
-    "sft_words",
-    "sft_count",
-    "growth_rate",
-    "to_label_symbols",
-    "from_label_symbols",
-    "dimension_rows",
-    "dump_words",
-]
+from .errors import _budget_error
 
 Word01 = tuple[int, ...]
 
-_STATE_CAP = 1 << 22  # aggregated frontier entries (words x residues/vertices)
+_STATE_CAP = 1 << 22  # residues held by the subset states; words at level n
 _WORDS_CAP = 1 << 20  # words an enumeration may return
 
 
@@ -125,61 +108,76 @@ def mod_graph(m: int) -> ModGraph:
     return ModGraph(m, tuple(((2 * j + 1) % m, (2 * j + 2) % m) for j in range(m)))
 
 
+def _determinize(start: frozenset[int], successors, symbol, n: int):
+    """Subset automaton of the marked successor steps, with its level-n word counts.
+
+    A state is the frozenset of residues that the paths of one word can end
+    at; reading 1 moves to the successors x with symbol(x) true, reading 0 to
+    the rest. Returns the transition rows, ((symbol, next state), ...), of the
+    states reached before level n, each built when first reached, and the
+    level-n word count per state, from an integer vector iterated n times.
+    """
+    if n < 0:
+        raise ValueError(f"level must be nonnegative, got {n}")
+    rows: dict[frozenset[int], tuple[tuple[int, frozenset[int]], ...]] = {}
+    known, held, counts = {start: start}, len(start), {start: 1}
+    for _ in range(n):
+        grown: dict[frozenset[int], int] = {}
+        for state, c in counts.items():
+            if state not in rows:
+                targets = frozenset(y for x in state for y in successors(x))
+                ones = frozenset(filter(symbol, targets))
+                split = [(s, t) for s, t in enumerate((targets - ones, ones)) if t]
+                for _, t in split:
+                    if t not in known:
+                        known[t], held = t, held + len(t)
+                if held > _STATE_CAP:
+                    raise _budget_error(
+                        f"{held} residues in {len(known)} subset states", _STATE_CAP, "_STATE_CAP"
+                    )
+                rows[state] = tuple((s, known[t]) for s, t in split)
+            for _, t in rows[state]:
+                grown[t] = grown.get(t, 0) + c
+        counts = grown
+    return rows, counts
+
+
+def _level_words(start: frozenset[int], successors, symbol, n: int) -> set[Word01]:
+    """Level-n words of ``_determinize``'s automaton, counted before one is built."""
+    rows, counts = _determinize(start, successors, symbol, n)
+    if (total := sum(counts.values())) > _STATE_CAP:
+        raise _budget_error(f"{total} words at level {n}", _STATE_CAP, "_STATE_CAP")
+    frontier = {(): start}
+    for _ in range(n):
+        frontier = {word + (s,): t for word, state in frontier.items() for s, t in rows[state]}
+    return set(frontier)
+
+
 def tree_words(spec: DeterministicSpec | int, n: int) -> set[Word01]:
     """Distinct level-n label words of the marked binary tree, over {0,1}.
 
-    Aggregates the 2^n paths by (word, edge index mod m): a pseudo-root with
-    residue m-1 spawns the real first-level edges at residues 0 and 1, and
-    each edge at residue c spawns children at residues 2c+2 and 2c+3 mod m.
-    Cost is the word-set size times m rather than 2^n.
+    The automaton runs on edge indices mod m: a pseudo-root with residue m-1
+    spawns the first-level edges at residues 0 and 1, an edge at residue c
+    spawns children at 2c+2 and 2c+3 mod m, and an edge reads 1 iff its
+    residue is the offset. Cost is per word rather than per path (2^n).
     """
     if isinstance(spec, int):
         spec = DeterministicSpec(spec)
-    if n < 0:
-        raise ValueError(f"level must be nonnegative, got {n}")
     m, offset = spec.m, spec.offset
-    state: dict[Word01, frozenset[int]] = {(): frozenset({(m - 1) % m})}
-    for _ in range(n):
-        grown: dict[Word01, set[int]] = {}
-        for word, residues in state.items():
-            for c in residues:
-                for child in ((2 * c + 2) % m, (2 * c + 3) % m):
-                    symbol = 1 if child == offset else 0
-                    grown.setdefault(word + (symbol,), set()).add(child)
-        if sum(len(s) for s in grown.values()) > _STATE_CAP:
-            raise BudgetError("aggregated frontier exceeds the state budget")
-        state = {w: frozenset(s) for w, s in grown.items()}
-    return set(state.keys())
+    return _level_words(
+        frozenset({m - 1}), lambda c: ((2 * c + 2) % m, (2 * c + 3) % m), lambda c: c == offset, n
+    )
 
 
 def graph_words(m: int, n: int) -> set[Word01]:
     """Words emitted by length-n walks on the mod-m digraph from vertices 1 and 2.
 
-    Each visited vertex emits 1 if it is 0 and 0 otherwise. Determinized by
-    propagating, per emitted word, the set of vertices a matching walk can
-    occupy. Matches tree_words at the default offset.
+    Each visited vertex emits 1 if it is 0 and 0 otherwise. Vertex v is tree
+    residue v-1, so this is tree_words' automaton at the default offset under
+    the relabelling c -> c+1, and the two word sets must match.
     """
-    if n < 0:
-        raise ValueError(f"level must be nonnegative, got {n}")
-    graph = mod_graph(m)
     # pseudo-start: vertex 0's successors are exactly the real starts 1 and 2
-    state: dict[Word01, frozenset[int]] = {(): frozenset({0})}
-    for _ in range(n):
-        grown: dict[Word01, set[int]] = {}
-        for word, vertices in state.items():
-            zeros: set[int] = set()
-            ones: set[int] = set()
-            for v in vertices:
-                for u in graph.successors(v):
-                    (ones if u == 0 else zeros).add(u)
-            if zeros:
-                grown.setdefault(word + (0,), set()).update(zeros)
-            if ones:
-                grown.setdefault(word + (1,), set()).update(ones)
-        if sum(len(s) for s in grown.values()) > _STATE_CAP:
-            raise BudgetError("aggregated frontier exceeds the state budget")
-        state = {w: frozenset(s) for w, s in grown.items()}
-    return set(state.keys())
+    return _level_words(frozenset({0}), mod_graph(m).successors, lambda v: v == 0, n)
 
 
 def sft_count(L: int, n: int) -> int:
@@ -205,7 +203,7 @@ def sft_words(L: int, n: int) -> set[Word01]:
     """Length-n binary words starting with 0^min(L,n) and avoiding 1 0^k 1, k < L."""
     total = sft_count(L, n)
     if total > _WORDS_CAP:
-        raise BudgetError(f"{total} words exceed the enumeration budget")
+        raise _budget_error(f"{total} words of length {n}", _WORDS_CAP, "_WORDS_CAP")
     head = min(L, n)
     out: set[Word01] = set()
 

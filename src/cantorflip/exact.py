@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import _budget_error
 from .stochastic import ProbVector
 from .symbolic import LabelWord, PathWord, kappa
 
@@ -100,6 +100,12 @@ def _exact_probs(p: ProbVector) -> list[Fraction] | None:
     return out
 
 
+def _check_labelings(N: int, E: int) -> None:
+    # log-space guard: N**E itself is unrepresentable for deep trees
+    if E * math.log2(N) > math.log2(_ENUM_CAP):
+        raise _budget_error(f"N^E = {N}^{E} labelings to enumerate", _ENUM_CAP, "_ENUM_CAP")
+
+
 def _digit_count_groups(
     M: int, depth: int, N: int, keep, reduce_row=None
 ) -> dict[tuple, int]:
@@ -111,9 +117,7 @@ def _digit_count_groups(
     group key. Returns {(extra?, c_0..c_{N-1}): multiplicity}.
     """
     E = _edge_count(M, depth)
-    # log-space guard: N**E itself is unrepresentable for deep trees
-    if E * math.log2(N) > math.log2(_ENUM_CAP):
-        raise BudgetError(f"N^{E} labelings exceed the enumeration budget")
+    _check_labelings(N, E)
     total = N**E
     powers = N ** np.arange(E, dtype=np.int64)
     groups: dict[tuple, int] = {}
@@ -153,8 +157,7 @@ def brute_force_a(w, p: ProbVector, M: int):
     depth = len(symbols)
     N = p.N
     # budget check must precede the M^depth prefix table
-    if _edge_count(M, depth) * math.log2(N) > math.log2(_ENUM_CAP):
-        raise BudgetError("word too deep for the enumeration budget")
+    _check_labelings(N, _edge_count(M, depth))
     prefix = _prefix_edge_indices(M, depth)
     target = np.asarray(symbols, dtype=np.int8) - 1
 
@@ -268,7 +271,7 @@ def expected_zn(p: ProbVector, M: int, n: int) -> float:
         raise ValueError(f"level must be nonnegative, got {n}")
     N = p.N
     if N**n > _WORD_CAP:
-        raise BudgetError(f"N^n = {N**n} words exceed the level-sum budget")
+        raise _budget_error(f"N^n = {N**n} words to sum", _WORD_CAP, "_WORD_CAP")
     if n == 0:
         return 1.0
     parr = p.as_array()
@@ -304,7 +307,7 @@ def multinomial_bound(p: ProbVector, M: int, n: int, *, log: bool = False) -> fl
     N = p.N
     n_comp = math.comb(n + N - 1, N - 1)
     if n_comp > _COMPOSITION_CAP:
-        raise BudgetError(f"{n_comp} compositions exceed the bound-sum budget")
+        raise _budget_error(f"{n_comp} compositions to sum", _COMPOSITION_CAP, "_COMPOSITION_CAP")
     if n == 0:
         return 0.0 if log else 1.0
     log_p = [math.log(x) for x in p.values]
@@ -348,9 +351,8 @@ def enumerate_z_distribution(
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     if N**depth > _MASK_BITS:
-        raise BudgetError(f"N^depth = {N**depth} words do not fit a 63-bit mask")
-    if _edge_count(M, depth) * math.log2(N) > math.log2(_ENUM_CAP):
-        raise BudgetError("deepest level exceeds the enumeration budget")
+        raise _budget_error(f"N^depth = {N**depth} words in one mask", _MASK_BITS, "_MASK_BITS")
+    _check_labelings(N, _edge_count(M, depth))
 
     result: list[dict[int, Fraction]] = [{1: Fraction(1)}]
     for level in range(1, depth + 1):

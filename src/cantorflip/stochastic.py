@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import _budget_error
 from .ifs import IfsSpec, interval
 from .symbolic import EdgeIndex, LabelWord, child_indices
 
@@ -407,10 +407,6 @@ def _trial_blocks(
         return map(run, blocks)
     with ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
         return list(pool.map(run, blocks))
-
-
-def _budget_error(request: str, cap: int, name: str) -> BudgetError:
-    return BudgetError(f"{request}, over the cap of {cap} set by {name}")
 
 
 def _check_budgets(N: int, M: int, depth: int, trials: int) -> None:

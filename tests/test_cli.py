@@ -10,10 +10,12 @@ import math
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from cantorflip import cli
 from cantorflip.cli import COMMANDS, main
 
 
@@ -148,6 +150,22 @@ class TestExact:
         assert lines[1] == "0,1"
         assert float(lines[2].split(",")[1]) == pytest.approx(0.75)
 
+    def test_pi_table_refuses_p(self, capsys):
+        # pi is the uniform recursion; a p would be ignored
+        code, out, err = run_cli(
+            capsys,
+            "exact", "--table", "pi", "--N", "2", "--M", "2", "--n-max", "3", "--p", "0.3,0.7",
+        )
+        assert code == 2
+        assert out == ""
+        assert "config validation error: p: " in err
+
+    def test_pi_table_requires_n(self, capsys):
+        code, out, err = run_cli(capsys, "exact", "--table", "pi", "--M", "2")
+        assert code == 2
+        assert out == ""
+        assert "'N' is a required property" in err
+
     def test_zn_table_bound_dominates(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -182,6 +200,21 @@ class TestDeterministic:
         )
         assert code == 0
         assert path.read_text() == "000\n001\n010\n"
+
+    def test_word_budget_exits_3_before_building_words(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "deterministic", "--m", "3", "--n", "40")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "165580141 words at level 40, over the cap of 4194304 set by _STATE_CAP" in err
+
+    def test_many_residues_few_words(self, capsys):
+        code, out, _ = run_cli(capsys, "deterministic", "--m", "4000", "--n", "60")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["word_count"] == 9988
+        assert doc["checks"] == {"tree_equals_graph": True, "tree_within_sft": True}
 
     def test_dump_from_config(self, capsys, tmp_path):
         path = tmp_path / "words.txt"
@@ -413,6 +446,10 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("m,p,lower,dim_Fm,upper")
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_threads_env_var(capsys, monkeypatch):

@@ -27,6 +27,8 @@ from cantorflip import (
     to_label_symbols,
     tree_words,
 )
+from cantorflip import detfrac
+from cantorflip.detfrac import _determinize
 from cantorflip.errors import BudgetError
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -168,15 +170,17 @@ class TestWordSets:
         assert base != shifted  # same construction, different phase
 
 
-def brute_force_counts(m: int, n: int) -> tuple[list[int], np.ndarray]:
+def brute_force_counts(m: int, n: int, offset: int | None = None) -> tuple[list[int], np.ndarray]:
     """Distinct-word counts for levels 1..n and the level-n words, from the tree itself.
 
     Edges get a running breadth-first index, level by level; the edge at
-    index e is marked (symbol 1) iff e mod m = m-1. Each path's word is
-    kept as an integer code with the first symbol most significant, and the
-    two children of a level's j-th edge are the next level's edges 2j and
-    2j+1, so every one of the 2^n paths is built explicitly.
+    index e is marked (symbol 1) iff e mod m is the offset (default m-1).
+    Each path's word is kept as an integer code with the first symbol most
+    significant, and the two children of a level's j-th edge are the next
+    level's edges 2j and 2j+1, so every one of the 2^n paths is built
+    explicitly.
     """
+    marked = m - 1 if offset is None else offset
     codes = np.zeros(1, dtype=np.int64)
     distinct = codes
     start = 0
@@ -184,7 +188,7 @@ def brute_force_counts(m: int, n: int) -> tuple[list[int], np.ndarray]:
     for k in range(1, n + 1):
         index = start + np.arange(1 << k, dtype=np.int64)
         start += 1 << k
-        codes = np.repeat(codes, 2) * 2 + (index % m == m - 1)
+        codes = np.repeat(codes, 2) * 2 + (index % m == marked)
         distinct = np.unique(codes)
         counts.append(len(distinct))
     return counts, distinct
@@ -214,6 +218,78 @@ class TestBruteForceTree:
         words = {tuple(int(b) for b in format(int(c), "016b")) for c in codes}
         assert words == tree_words(30, 16)
         assert dim_Fm(30, 1 / 3) == dim_Fm(15, 1 / 3)
+
+    def test_every_offset(self):
+        # sft_words and graph_words model only the default offset m-1
+        for m in range(2, 16):
+            for offset in range(m):
+                _, codes = brute_force_counts(m, 14, offset)
+                words = {tuple(int(b) for b in format(int(c), "014b")) for c in codes}
+                assert words == tree_words(DeterministicSpec(m, offset), 14), (m, offset)
+
+
+class TestSubsetAutomaton:
+    """Counts and growth of the one determinizer behind tree_words and graph_words.
+
+    The oracles are sft_count's gap-state recursion and rho's root of
+    x^(L+1) = x^L + 1; neither goes through the subset construction.
+    """
+
+    LARGE_M = (1000, 2047, 2048, 4000, 9999)
+
+    @pytest.mark.parametrize("words", [tree_words, graph_words])
+    def test_count_at_level_300_is_the_shift_count(self, words):
+        # 300 levels hold far more words than _STATE_CAP, so the message
+        # carries the exact count and no word is built
+        for m in [*range(3, 130), *self.LARGE_M]:
+            count = sft_count(level_of(m), 300)
+            with pytest.raises(BudgetError, match=rf"^{count} words at level 300, "):
+                words(m, 300)
+
+    @pytest.mark.parametrize("m", [3, 6, 7, 14, 15, 30, 31, 62, 63, 4000, 10**5])
+    def test_spectral_radius_gives_dim_fm(self, m):
+        rows, _ = _determinize(frozenset({0}), mod_graph(m).successors, lambda v: v == 0, 64)
+        assert all(t in rows for row in rows.values() for _, t in row)  # closed under steps
+        index = {state: i for i, state in enumerate(rows)}
+        transfer = np.zeros((len(index), len(index)))
+        for state, row in rows.items():
+            for _, t in row:
+                transfer[index[state], index[t]] += 1
+        radius = max(abs(np.linalg.eigvals(transfer)))
+        assert math.log(radius) / math.log(3) == pytest.approx(dim_Fm(m, 1 / 3), abs=1e-6)
+
+
+BUDGET_MESSAGES = {
+    "tree words": (
+        lambda: tree_words(3, 40),
+        r"^165580141 words at level 40, over the cap of 4194304 set by _STATE_CAP$",
+    ),
+    "graph words": (
+        lambda: graph_words(3, 40),
+        r"^165580141 words at level 40, over the cap of 4194304 set by _STATE_CAP$",
+    ),
+    "shift words": (
+        lambda: sft_words(1, 40),
+        r"^165580141 words of length 40, over the cap of 1048576 set by _WORDS_CAP$",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_MESSAGES))
+def test_budget_message_names_size_cap_and_constant(name):
+    call, message = BUDGET_MESSAGES[name]
+    with pytest.raises(BudgetError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("words", [tree_words, graph_words])
+def test_residue_budget_message(monkeypatch, words):
+    monkeypatch.setattr(detfrac, "_STATE_CAP", 1000)
+    with pytest.raises(
+        BudgetError,
+        match=r"^1023 residues in 10 subset states, over the cap of 1000 set by _STATE_CAP$",
+    ):
+        words(4000, 36)
 
 
 class TestSymbolBridge:

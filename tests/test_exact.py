@@ -220,3 +220,35 @@ class TestEnumerateDistribution:
     def test_rejects_bad_probs(self):
         with pytest.raises(ValueError):
             enumerate_z_distribution((Fraction(1, 2), Fraction(1, 3)), 2, 2)
+
+
+HALVES = (Fraction(1, 2), Fraction(1, 2))
+BUDGET_MESSAGES = {
+    "word labelings": (
+        lambda: brute_force_a((1,) * 5, SYM, 2),
+        r"^N\^E = 2\^62 labelings to enumerate, over the cap of 16777216 set by _ENUM_CAP$",
+    ),
+    "level labelings": (
+        lambda: enumerate_z_distribution(HALVES, 2, 5),
+        r"^N\^E = 2\^62 labelings to enumerate, over the cap of 16777216 set by _ENUM_CAP$",
+    ),
+    "mask": (
+        lambda: enumerate_z_distribution(HALVES, 2, 6),
+        r"^N\^depth = 64 words in one mask, over the cap of 63 set by _MASK_BITS$",
+    ),
+    "level sum": (
+        lambda: expected_zn(SYM, 2, 21),
+        r"^N\^n = 2097152 words to sum, over the cap of 1048576 set by _WORD_CAP$",
+    ),
+    "compositions": (
+        lambda: multinomial_bound(ProbVector.uniform(10), 2, 40),
+        r"^2054455634 compositions to sum, over the cap of 500000 set by _COMPOSITION_CAP$",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_MESSAGES))
+def test_budget_message_names_size_cap_and_constant(name):
+    call, message = BUDGET_MESSAGES[name]
+    with pytest.raises(BudgetError, match=message):
+        call()
