@@ -24,7 +24,7 @@ from .errors import _budget_error
 
 Word01 = tuple[int, ...]
 
-_STATE_CAP = 1 << 22  # residues held by the subset states; words at level n
+_STATE_CAP = 1 << 22  # per level: words, and residues held by the level's states
 _WORDS_CAP = 1 << 20  # words an enumeration may return
 
 
@@ -116,37 +116,37 @@ def _determinize(start: frozenset[int], successors, symbol, n: int):
     the rest. Returns the transition rows, ((symbol, next state), ...), of the
     states reached before level n, each built when first reached, and the
     level-n word count per state, from an integer vector iterated n times.
+    It stops at the first level whose words or states' residues exceed
+    _STATE_CAP; as every state has a successor, no later level has fewer words.
     """
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
     rows: dict[frozenset[int], tuple[tuple[int, frozenset[int]], ...]] = {}
-    known, held, counts = {start: start}, len(start), {start: 1}
-    for _ in range(n):
+    known, counts = {start: start}, {start: 1}
+    for level in range(1, n + 1):
         grown: dict[frozenset[int], int] = {}
         for state, c in counts.items():
             if state not in rows:
                 targets = frozenset(y for x in state for y in successors(x))
                 ones = frozenset(filter(symbol, targets))
-                split = [(s, t) for s, t in enumerate((targets - ones, ones)) if t]
-                for _, t in split:
-                    if t not in known:
-                        known[t], held = t, held + len(t)
-                if held > _STATE_CAP:
-                    raise _budget_error(
-                        f"{held} residues in {len(known)} subset states", _STATE_CAP, "_STATE_CAP"
-                    )
-                rows[state] = tuple((s, known[t]) for s, t in split)
+                rows[state] = tuple(
+                    (s, known.setdefault(t, t)) for s, t in enumerate((targets - ones, ones)) if t
+                )
             for _, t in rows[state]:
                 grown[t] = grown.get(t, 0) + c
         counts = grown
+        words, held = sum(counts.values()), sum(map(len, counts))
+        if words > _STATE_CAP:
+            raise _budget_error(f"{words} words at level {level} of {n}", _STATE_CAP, "_STATE_CAP")
+        if held > _STATE_CAP:
+            size = f"{held} residues in {len(counts)} subset states at level {level} of {n}"
+            raise _budget_error(size, _STATE_CAP, "_STATE_CAP")
     return rows, counts
 
 
 def _level_words(start: frozenset[int], successors, symbol, n: int) -> set[Word01]:
     """Level-n words of ``_determinize``'s automaton, counted before one is built."""
-    rows, counts = _determinize(start, successors, symbol, n)
-    if (total := sum(counts.values())) > _STATE_CAP:
-        raise _budget_error(f"{total} words at level {n}", _STATE_CAP, "_STATE_CAP")
+    rows, _ = _determinize(start, successors, symbol, n)
     frontier = {(): start}
     for _ in range(n):
         frontier = {word + (s,): t for word, state in frontier.items() for s, t in rows[state]}

@@ -10,7 +10,6 @@ import math
 import shlex
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -201,13 +200,12 @@ class TestDeterministic:
         assert code == 0
         assert path.read_text() == "000\n001\n010\n"
 
-    def test_word_budget_exits_3_before_building_words(self, capsys):
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, "deterministic", "--m", "3", "--n", "40")
-        assert time.perf_counter() - start < 1.0
+    @pytest.mark.parametrize("n", ["40", "1000000"])
+    def test_word_budget_exits_3_at_the_first_level_over_cap(self, capsys, n):
+        code, out, err = run_cli(capsys, "deterministic", "--m", "3", "--n", n)
         assert code == 3
         assert out == ""
-        assert "165580141 words at level 40, over the cap of 4194304 set by _STATE_CAP" in err
+        assert f"5702887 words at level 33 of {n}, over the cap of 4194304 set by _STATE_CAP" in err
 
     def test_many_residues_few_words(self, capsys):
         code, out, _ = run_cli(capsys, "deterministic", "--m", "4000", "--n", "60")

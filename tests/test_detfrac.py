@@ -6,6 +6,7 @@ and by the gap-constraint shift (sft_words, a superset in general). The
 tests pin small cases exactly and cross-check the views against each other.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -236,19 +237,39 @@ class TestSubsetAutomaton:
     """
 
     LARGE_M = (1000, 2047, 2048, 4000, 9999)
+    # (start, successors, symbol) of tree_words and graph_words at offset m-1
+    AUTOMATA = {
+        "tree": lambda m: (
+            frozenset({m - 1}), lambda c: ((2 * c + 2) % m, (2 * c + 3) % m), lambda c: c == m - 1
+        ),
+        "graph": lambda m: (frozenset({0}), mod_graph(m).successors, lambda v: v == 0),
+    }
+
+    @pytest.mark.parametrize("automaton", sorted(AUTOMATA))
+    def test_count_at_level_300_is_the_shift_count(self, monkeypatch, automaton):
+        monkeypatch.setattr(detfrac, "_STATE_CAP", math.inf)  # count far past the cap
+        for m in [*range(3, 130), *self.LARGE_M]:
+            _, counts = _determinize(*self.AUTOMATA[automaton](m), 300)
+            assert sum(counts.values()) == sft_count(level_of(m), 300), m
 
     @pytest.mark.parametrize("words", [tree_words, graph_words])
-    def test_count_at_level_300_is_the_shift_count(self, words):
-        # 300 levels hold far more words than _STATE_CAP, so the message
-        # carries the exact count and no word is built
+    def test_word_budget_stops_at_first_level_over_cap(self, words):
+        # no level holds fewer words than the one before, so the first level
+        # over the cap refuses the request, however deep it asks
         for m in [*range(3, 130), *self.LARGE_M]:
-            count = sft_count(level_of(m), 300)
-            with pytest.raises(BudgetError, match=rf"^{count} words at level 300, "):
-                words(m, 300)
+            L = level_of(m)
+            level = next(k for k in itertools.count(1) if sft_count(L, k) > 1 << 22)
+            message = (
+                rf"^{sft_count(L, level)} words at level {level} of 1000000, "
+                r"over the cap of 4194304 set by _STATE_CAP$"
+            )
+            with pytest.raises(BudgetError, match=message):
+                words(m, 10**6)
 
     @pytest.mark.parametrize("m", [3, 6, 7, 14, 15, 30, 31, 62, 63, 4000, 10**5])
-    def test_spectral_radius_gives_dim_fm(self, m):
-        rows, _ = _determinize(frozenset({0}), mod_graph(m).successors, lambda v: v == 0, 64)
+    def test_spectral_radius_gives_dim_fm(self, monkeypatch, m):
+        monkeypatch.setattr(detfrac, "_STATE_CAP", math.inf)
+        rows, _ = _determinize(*self.AUTOMATA["graph"](m), 64)
         assert all(t in rows for row in rows.values() for _, t in row)  # closed under steps
         index = {state: i for i, state in enumerate(rows)}
         transfer = np.zeros((len(index), len(index)))
@@ -259,27 +280,12 @@ class TestSubsetAutomaton:
         assert math.log(radius) / math.log(3) == pytest.approx(dim_Fm(m, 1 / 3), abs=1e-6)
 
 
-BUDGET_MESSAGES = {
-    "tree words": (
-        lambda: tree_words(3, 40),
-        r"^165580141 words at level 40, over the cap of 4194304 set by _STATE_CAP$",
-    ),
-    "graph words": (
-        lambda: graph_words(3, 40),
-        r"^165580141 words at level 40, over the cap of 4194304 set by _STATE_CAP$",
-    ),
-    "shift words": (
-        lambda: sft_words(1, 40),
-        r"^165580141 words of length 40, over the cap of 1048576 set by _WORDS_CAP$",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(BUDGET_MESSAGES))
-def test_budget_message_names_size_cap_and_constant(name):
-    call, message = BUDGET_MESSAGES[name]
-    with pytest.raises(BudgetError, match=message):
-        call()
+def test_shift_budget_message():
+    with pytest.raises(
+        BudgetError,
+        match=r"^165580141 words of length 40, over the cap of 1048576 set by _WORDS_CAP$",
+    ):
+        sft_words(1, 40)
 
 
 @pytest.mark.parametrize("words", [tree_words, graph_words])
@@ -287,10 +293,18 @@ def test_residue_budget_message(monkeypatch, words):
     monkeypatch.setattr(detfrac, "_STATE_CAP", 1000)
     with pytest.raises(
         BudgetError,
-        match=r"^1023 residues in 10 subset states, over the cap of 1000 set by _STATE_CAP$",
+        match=r"^1024 residues in 1 subset states at level 10 of 36, over the cap of 1000 set by _STATE_CAP$",
     ):
         words(4000, 36)
 
+
+
+@pytest.mark.parametrize("words", [tree_words, graph_words])
+def test_residue_cap_bounds_one_level(monkeypatch, words):
+    # the states reached by level 16 hold 2418 residues, no level more than 1000
+    monkeypatch.setattr(detfrac, "_STATE_CAP", 1000)
+    _, codes = brute_force_counts(700, 16)
+    assert words(700, 16) == {tuple(int(b) for b in format(int(c), "016b")) for c in codes}
 
 class TestSymbolBridge:
     def test_roundtrip(self):
