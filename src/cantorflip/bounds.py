@@ -16,22 +16,6 @@ from dataclasses import dataclass
 
 from .stochastic import ProbVector
 
-__all__ = [
-    "SandwichCheck",
-    "LambdaRoot",
-    "BoundsReport",
-    "entropy",
-    "entropy_threshold",
-    "geometric_threshold",
-    "lower_bound",
-    "sandwich_check",
-    "solve_lambda",
-    "phi",
-    "upper_bound",
-    "xi",
-    "classify",
-]
-
 _EDGE_TOL = 1e-9  # threshold comparisons; keeps M = N uniform inside the window
 
 

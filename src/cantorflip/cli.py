@@ -54,8 +54,6 @@ from .stochastic import (
     run_trials,
 )
 
-__all__ = ["main", "COMMANDS", "TABLE1_PERIODS"]
-
 TABLE1_PERIODS = (2, 3, 4, 6, 7, 14, 15, 30)
 
 

@@ -96,16 +96,15 @@ class ModGraph:
     """
 
     m: int
-    edges: tuple[tuple[int, int], ...]
 
     def successors(self, j: int) -> tuple[int, int]:
-        return self.edges[j]
+        return (2 * j + 1) % self.m, (2 * j + 2) % self.m
 
 
 def mod_graph(m: int) -> ModGraph:
     if m < 3:
         raise ValueError(f"graph defined for m >= 3, got {m}")
-    return ModGraph(m, tuple(((2 * j + 1) % m, (2 * j + 2) % m) for j in range(m)))
+    return ModGraph(m)
 
 
 def _determinize(start: frozenset[int], successors, symbol, n: int):

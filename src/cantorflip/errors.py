@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+import math
+
 
 class BudgetError(RuntimeError):
     """A requested computation exceeds its documented size budget.
@@ -13,3 +15,18 @@ class BudgetError(RuntimeError):
 def _budget_error(request: str, cap: int, name: str) -> BudgetError:
     """The package's one budget message: the requested size, the cap and its constant."""
     return BudgetError(f"{request}, over the cap of {cap} set by {name}")
+
+
+def _checked_power(request: str, base: int, exp: int, cap: int, name: str) -> int:
+    """``base**exp``, or the budget error for ``request.format(size)`` if it exceeds ``cap``.
+
+    A power past cap^2 is rejected in log space, so it is never formed, and
+    its size reads ``base^exp``; any other power is formed, compared exactly
+    and printed in full.
+    """
+    if exp > 2 * math.log2(cap) / math.log2(base):  # base**exp > cap**2
+        raise _budget_error(request.format(f"{base}^{exp}"), cap, name)
+    size = base**exp
+    if size > cap:
+        raise _budget_error(request.format(size), cap, name)
+    return size

@@ -23,38 +23,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import _budget_error
+from .errors import _budget_error, _checked_power
 from .stochastic import ProbVector
-from .symbolic import LabelWord, PathWord, kappa
-
-__all__ = [
-    "PiSequence",
-    "a_probability",
-    "brute_force_a",
-    "pi_sequence",
-    "gamma_fixed_point",
-    "expected_zn",
-    "multinomial_bound",
-    "enumerate_z_distribution",
-]
+from .symbolic import PathWord, kappa, label_symbols
 
 _ENUM_CAP = 1 << 24  # labelings a brute-force enumeration may visit
 _WORD_CAP = 1 << 20  # words a full-level sum may hold
 _COMPOSITION_CAP = 500_000
 _MASK_BITS = 63  # word bitmasks live in one int64
 _CHUNK = 1 << 18
-
-
-def _as_labels(w, N: int) -> tuple[int, ...]:
-    if isinstance(w, LabelWord):
-        if w.N != N:
-            raise ValueError(f"word alphabet {w.N} does not match the {N}-entry p")
-        return w.symbols
-    symbols = tuple(int(s) for s in w)
-    for s in symbols:
-        if not 1 <= s <= N:
-            raise ValueError(f"label {s} outside 1..{N}")
-    return symbols
 
 
 def a_probability(w, p: ProbVector, M: int) -> float:
@@ -64,7 +41,7 @@ def a_probability(w, p: ProbVector, M: int) -> float:
     empty suffix, each step applies a = 1 - (1 - p_l a)^M in the stable form
     -expm1(M * log1p(-p_l a)).
     """
-    symbols = _as_labels(w, p.N)
+    symbols = label_symbols(w, p.N)
     if not symbols:
         raise ValueError("word must be nonempty")
     if M < 2:
@@ -149,7 +126,7 @@ def brute_force_a(w, p: ProbVector, M: int):
     so each weight is formed once. When the entries of p round-trip through
     small rationals the result is an exact Fraction; otherwise a float.
     """
-    symbols = _as_labels(w, p.N)
+    symbols = label_symbols(w, p.N)
     if not symbols:
         raise ValueError("word must be nonempty")
     if M < 2:
@@ -270,8 +247,7 @@ def expected_zn(p: ProbVector, M: int, n: int) -> float:
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
     N = p.N
-    if N**n > _WORD_CAP:
-        raise _budget_error(f"N^n = {N**n} words to sum", _WORD_CAP, "_WORD_CAP")
+    _checked_power("N^n = {} words to sum", N, n, _WORD_CAP, "_WORD_CAP")
     if n == 0:
         return 1.0
     parr = p.as_array()
@@ -350,8 +326,7 @@ def enumerate_z_distribution(
         raise ValueError(f"arity must be at least 2, got {M}")
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
-    if N**depth > _MASK_BITS:
-        raise _budget_error(f"N^depth = {N**depth} words in one mask", _MASK_BITS, "_MASK_BITS")
+    _checked_power("N^depth = {} words in one mask", N, depth, _MASK_BITS, "_MASK_BITS")
     _check_labelings(N, _edge_count(M, depth))
 
     result: list[dict[int, Fraction]] = [{1: Fraction(1)}]

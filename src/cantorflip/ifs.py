@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .symbolic import LabelWord
-
-__all__ = ["Interval", "IfsSpec", "canonical_spec", "interval", "dim_C"]
+from .symbolic import LabelWord, label_symbols
 
 _TOL = 1e-9
 
@@ -133,18 +131,6 @@ def canonical_spec(N: int, r: float) -> IfsSpec:
     return IfsSpec(N, float(r), b, (1,) * N)
 
 
-def _as_symbols(w: LabelWord | Sequence[int], N: int) -> tuple[int, ...]:
-    if isinstance(w, LabelWord):
-        if w.N != N:
-            raise ValueError(f"word alphabet {w.N} does not match the system's N={N}")
-        return w.symbols
-    symbols = tuple(int(s) for s in w)
-    for s in symbols:
-        if not 1 <= s <= N:
-            raise ValueError(f"label symbol {s} outside 1..{N}")
-    return symbols
-
-
 def interval(spec: IfsSpec, w: LabelWord | Sequence[int]) -> Interval:
     """Basic interval addressed by ``w``: image of [0,1] under the composition.
 
@@ -152,7 +138,7 @@ def interval(spec: IfsSpec, w: LabelWord | Sequence[int]) -> Interval:
     error of an endpoint grows only linearly with the depth. The length is
     r^len(w) up to that rounding.
     """
-    symbols = _as_symbols(w, spec.N)
+    symbols = label_symbols(w, spec.N)
     a, c = 1.0, 0.0  # current composition x -> a*x + c
     for s in symbols:
         b = spec.translations[s - 1]

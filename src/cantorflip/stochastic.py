@@ -30,29 +30,15 @@ import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import _budget_error
+from .errors import _budget_error, _checked_power
 from .ifs import IfsSpec, interval
-from .symbolic import EdgeIndex, LabelWord, child_indices
+from .symbolic import EdgeIndex, child_indices
 
-__all__ = [
-    "ProbVector",
-    "LabelSource",
-    "OccupancyMap",
-    "TrialStats",
-    "evolve",
-    "z_n",
-    "run_trials",
-    "z_distribution",
-    "estimate_dim",
-    "energy_estimate",
-    "occupancy_from_source",
-]
-
-_DENSE_STATE_CAP = 1 << 24  # pooled-union bitmaps: at most 2^24 words a level
+_DENSE_STATE_CAP = 1 << 24  # the pooled-union bitmap: at most 2^24 words
 _TRIAL_STATE_CAP = 1 << 24  # one trial's sparse state: at most 2^24 words a level
 _WORK_CAP = 1 << 34  # trials * min(N, M)^depth words
 _EXPLICIT_CAP = 1 << 16  # per-path walk budget (M^depth)
@@ -197,14 +183,6 @@ class OccupancyMap:
         return cls(0, M, {(): 1})
 
 
-def _as_generator(rng: np.random.Generator | int | None) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(int(rng))
-    raise ValueError("rng must be a numpy Generator or an integer seed")
-
-
 def _tail_probs(p: np.ndarray) -> np.ndarray:
     # suffix sums p_l + ... + p_N, computed right to left for stability
     return np.cumsum(p[::-1])[::-1]
@@ -250,12 +228,7 @@ def _step(
     return children[occupied], splits[occupied]
 
 
-def evolve(
-    occ: OccupancyMap,
-    p: ProbVector,
-    M: int | None = None,
-    rng: np.random.Generator | int | None = None,
-) -> OccupancyMap:
+def evolve(occ: OccupancyMap, p: ProbVector, rng: np.random.Generator) -> OccupancyMap:
     """Advance an occupancy map one level under i.i.d. labels from ``p``.
 
     For each entry (w, c) the M*c child paths split among the N one-letter
@@ -263,10 +236,6 @@ def evolve(
     counts. Raises OverflowError once M^(level+1) no longer fits the 64-bit
     path counters.
     """
-    if M is None:
-        M = occ.M
-    elif M != occ.M:
-        raise ValueError(f"arity {M} does not match the map's {occ.M}")
     if occ.M ** (occ.level + 1) > _INT64_MAX:
         raise OverflowError(
             "path counts overflow 64-bit at the next level; "
@@ -276,7 +245,7 @@ def evolve(
     counts = np.fromiter(occ.entries.values(), dtype=np.int64, count=len(words))
     # entry indices as codes: child i*N + l is word i extended by letter l+1
     codes, child_counts = _step(
-        _as_generator(rng), np.arange(len(words), dtype=np.int64), counts, p.as_array(), M
+        rng, np.arange(len(words), dtype=np.int64), counts, p.as_array(), occ.M
     )
     N = p.N
     entries = {
@@ -300,8 +269,9 @@ def occupancy_from_source(source: LabelSource, M: int, depth: int) -> list[Occup
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
-    if M**depth > _EXPLICIT_CAP:
-        raise _budget_error(f"M^depth = {M**depth} paths to walk", _EXPLICIT_CAP, "_EXPLICIT_CAP")
+    if M < 2:
+        raise ValueError(f"arity must be at least 2, got {M}")
+    _checked_power("M^depth = {} paths to walk", M, depth, _EXPLICIT_CAP, "_EXPLICIT_CAP")
     maps = [OccupancyMap.root(M)]
     frontier: list[tuple[tuple[int, ...], EdgeIndex | None]] = [((), None)]
     for level in range(1, depth + 1):
@@ -327,6 +297,10 @@ class TrialStats:
     the pooled occupancy: how many words were occupied in at least one trial.
     All are indexed by level 0..depth and were reduced with commutative,
     exact integer accumulators, so they are independent of trial order.
+    ``z_union`` at level k counts the length-k prefixes of the pooled
+    level-depth words: every occupied word has M*c > 0 child paths, so some
+    child is occupied, and the occupied words of a level are exactly the
+    prefixes of the next level's.
     """
 
     depth: int
@@ -353,13 +327,13 @@ def _block_z(
     master_seed: int,
     block: int,
     size: int,
-    union: list[np.ndarray] | None,
-) -> np.ndarray:
-    """Per-trial Z at levels 0..depth for ``size`` trials of one block.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial Z at levels 0..depth, and the level-depth words, of one block.
 
     Trial j of the block starts as code j, so a code at level k is
     j*N^k + word and entries stay ordered by (trial, word). Returns an int64
-    array of shape (depth + 1, size); marks each level's words in ``union``.
+    array of shape (depth + 1, size) and the int64 words (codes mod N^depth)
+    that the block's trials occupy at level depth, each trial's ascending.
     """
     N = p.shape[0]
     rng = _trial_rng(master_seed, block)
@@ -371,9 +345,7 @@ def _block_z(
         # trial j's codes fill [starts[j], starts[j + 1]) of the sorted codes
         starts = np.arange(size + 1, dtype=np.int64) * N**k
         zs[k] = np.diff(np.searchsorted(codes, starts))
-        if union is not None:
-            union[k - 1][codes - np.repeat(starts[:-1], zs[k])] = True
-    return zs
+    return zs, codes % N**depth
 
 
 def _block_trials(N: int, M: int, depth: int) -> int:
@@ -388,25 +360,24 @@ def _trial_blocks(
     trials: int,
     master_seed: int,
     threads: int,
-    union: list[np.ndarray] | None,
-) -> Iterable[np.ndarray]:
-    """Per-trial Z arrays of every block, in block order.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``_block_z`` of every block, yielded in block order as it is consumed.
 
-    Blocks are independent, so a pool of ``threads`` workers maps over them
-    without changing any result. Workers share ``union``: they only store
-    True into it, so the bitmap does not depend on their interleaving.
+    Blocks are independent and workers share no mutable state, so a pool of
+    ``threads`` workers maps over them without changing any result.
     """
     B = _block_trials(p.N, M, depth)
     parr = p.as_array()
 
-    def run(b: int) -> np.ndarray:
-        return _block_z(parr, M, depth, master_seed, b, min(B, trials - b * B), union)
+    def run(b: int) -> tuple[np.ndarray, np.ndarray]:
+        return _block_z(parr, M, depth, master_seed, b, min(B, trials - b * B))
 
     blocks = range(-(-trials // B))
     if threads == 1:
-        return map(run, blocks)
+        yield from map(run, blocks)
+        return
     with ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
-        return list(pool.map(run, blocks))
+        yield from pool.map(run, blocks)
 
 
 def _check_budgets(N: int, M: int, depth: int, trials: int) -> None:
@@ -420,13 +391,10 @@ def _check_budgets(N: int, M: int, depth: int, trials: int) -> None:
         raise ValueError(f"depth must be at least 1, got {depth}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if M**depth > _INT64_MAX:
-        raise _budget_error(f"M^depth = {M**depth} paths a trial", _INT64_MAX, "_INT64_MAX")
-    state = min(N, M) ** depth
-    if state > _TRIAL_STATE_CAP:
-        raise _budget_error(
-            f"min(N, M)^depth = {state} words a trial", _TRIAL_STATE_CAP, "_TRIAL_STATE_CAP"
-        )
+    _checked_power("M^depth = {} paths a trial", M, depth, _INT64_MAX, "_INT64_MAX")
+    state = _checked_power(
+        "min(N, M)^depth = {} words a trial", min(N, M), depth, _TRIAL_STATE_CAP, "_TRIAL_STATE_CAP"
+    )
     codes = min(_block_trials(N, M, depth), trials) * N**depth
     if codes > _INT64_MAX:
         raise _budget_error(f"B * N^depth = {codes} word codes a block", _INT64_MAX, "_INT64_MAX")
@@ -466,12 +434,9 @@ def run_trials(
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     _check_budgets(N, M, depth, trials)
-    if N**depth > _DENSE_STATE_CAP:
-        raise _budget_error(
-            f"N^depth = {N**depth} words a pooled-union bitmap",
-            _DENSE_STATE_CAP,
-            "_DENSE_STATE_CAP",
-        )
+    words = _checked_power(
+        "N^depth = {} words a pooled-union bitmap", N, depth, _DENSE_STATE_CAP, "_DENSE_STATE_CAP"
+    )
 
     # per block in int64 (a block's sum of Z^2 stays below 2^48), across
     # blocks in Python ints, so the totals are exact
@@ -479,8 +444,10 @@ def run_trials(
     sums2 = [0] * (depth + 1)
     mins = [math.inf] * (depth + 1)
     maxs = [0] * (depth + 1)
-    union = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
-    for zs in _trial_blocks(p, M, depth, trials, master_seed, threads, union):
+    union = np.zeros(words, dtype=bool)
+    for zs, deepest in _trial_blocks(p, M, depth, trials, master_seed, threads):
+        union[deepest] = True
+        del deepest  # a serial run computes the next block while the loop holds this one
         sums = [a + b for a, b in zip(sums, zs.sum(axis=1).tolist())]
         sums2 = [a + b for a, b in zip(sums2, (zs * zs).sum(axis=1).tolist())]
         mins = [min(a, b) for a, b in zip(mins, zs.min(axis=1).tolist())]
@@ -492,7 +459,11 @@ def run_trials(
         z_var = tuple((T * s2 - s * s) / (T * (T - 1)) for s, s2 in zip(sums, sums2))
     else:
         z_var = (0.0,) * (depth + 1)
-    z_union = (1,) + tuple(int(np.count_nonzero(u)) for u in union)
+    # level k's words are the prefixes of level k+1's, word w's children being w*N + l
+    z_union = [int(np.count_nonzero(union))]
+    for _ in range(depth):
+        union = union.reshape(-1, N).any(axis=1)
+        z_union.append(int(np.count_nonzero(union)))
     return TrialStats(
         depth=depth,
         trials=trials,
@@ -501,7 +472,7 @@ def run_trials(
         z_var=z_var,
         z_min=tuple(mins),
         z_max=tuple(maxs),
-        z_union=z_union,
+        z_union=tuple(reversed(z_union)),
     )
 
 
@@ -521,7 +492,7 @@ def z_distribution(
         raise ValueError(f"arity must be at least 2, got {M}")
     _check_budgets(N, M, depth, trials)
     hists: list[Counter] = [Counter() for _ in range(depth + 1)]
-    for zs in _trial_blocks(p, M, depth, trials, master_seed, 1, None):
+    for zs, _ in _trial_blocks(p, M, depth, trials, master_seed, 1):
         for hist, row in zip(hists, zs.tolist()):
             hist.update(row)
     return [dict(sorted(hist.items())) for hist in hists]

@@ -11,19 +11,7 @@ closed-form, so nothing here ever enumerates the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-__all__ = [
-    "PathWord",
-    "LabelWord",
-    "EdgeIndex",
-    "LESS",
-    "EQUAL",
-    "GREATER",
-    "compare_star",
-    "kappa",
-    "kappa_inverse",
-    "child_indices",
-]
+from typing import Sequence
 
 EdgeIndex = int  # kept within the signed 64-bit range
 
@@ -65,14 +53,27 @@ class LabelWord:
     def __post_init__(self) -> None:
         if self.N < 2:
             raise ValueError(f"label alphabet size must be at least 2, got {self.N}")
-        symbols = tuple(int(s) for s in self.symbols)
-        object.__setattr__(self, "symbols", symbols)
-        for s in symbols:
-            if not 1 <= s <= self.N:
-                raise ValueError(f"label symbol {s} outside 1..{self.N}")
+        object.__setattr__(self, "symbols", label_symbols(self.symbols, self.N))
 
     def __len__(self) -> int:
         return len(self.symbols)
+
+
+def label_symbols(w: LabelWord | Sequence[int], N: int) -> tuple[int, ...]:
+    """The symbols of a label word, checked against the alphabet {1..N}.
+
+    A ``LabelWord`` must carry alphabet N; any other sequence must hold
+    integers in 1..N.
+    """
+    if isinstance(w, LabelWord):
+        if w.N != N:
+            raise ValueError(f"word alphabet {w.N} does not match N={N}")
+        return w.symbols
+    symbols = tuple(int(s) for s in w)
+    for s in symbols:
+        if not 1 <= s <= N:
+            raise ValueError(f"label symbol {s} outside 1..{N}")
+    return symbols
 
 
 def compare_star(a: PathWord, b: PathWord) -> int:

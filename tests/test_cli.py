@@ -413,6 +413,16 @@ class TestFailures:
         assert code == 3
         assert "budget exceeded" in err
 
+    def test_size_past_string_conversion_limit_exits_3(self, capsys):
+        # 2**20000 has more digits than Python converts to a string
+        code, _, err = run_cli(
+            capsys,
+            "simulate", "--N", "2", "--M", "2", "--p", "0.5,0.5", "--depth", "20000",
+            "--trials", "1",
+        )
+        assert code == 3
+        assert "M^depth = 2^20000 paths a trial, over the cap of" in err
+
     def test_energy_pair_budget_exit_3(self, capsys, monkeypatch):
         # a cap of 2^8 pairs trips once a level holds more than 16 words
         import cantorflip.stochastic as stochastic

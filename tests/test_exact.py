@@ -244,6 +244,16 @@ BUDGET_MESSAGES = {
         lambda: multinomial_bound(ProbVector.uniform(10), 2, 40),
         r"^2054455634 compositions to sum, over the cap of 500000 set by _COMPOSITION_CAP$",
     ),
+    # past cap^2 a size prints as base^exp: 2**20000 has more digits than
+    # Python converts to a string
+    "deep level sum": (
+        lambda: expected_zn(SYM, 2, 20000),
+        r"^N\^n = 2\^20000 words to sum, over the cap of 1048576 set by _WORD_CAP$",
+    ),
+    "deep mask": (
+        lambda: enumerate_z_distribution(HALVES, 2, 20000),
+        r"^N\^depth = 2\^20000 words in one mask, over the cap of 63 set by _MASK_BITS$",
+    ),
 }
 
 

@@ -266,6 +266,22 @@ BUDGET_MESSAGES = {
         lambda: occupancy_from_source(LabelSource.periodic(3), 2, 17),
         r"M\^depth = 131072 paths to walk, over the cap of 65536 set by _EXPLICIT_CAP",
     ),
+    # past cap^2 a size prints as base^exp: 2**20000 has more digits than
+    # Python converts to a string
+    "deep run_trials": (
+        lambda: run_trials(THIRDS_SPEC, SYM, 2, 20000, 1, 0),
+        r"M\^depth = 2\^20000 paths a trial, "
+        r"over the cap of 9223372036854775807 set by _INT64_MAX",
+    ),
+    "deep z_distribution": (
+        lambda: z_distribution(SYM, 2, 20000, 1, 0),
+        r"M\^depth = 2\^20000 paths a trial, "
+        r"over the cap of 9223372036854775807 set by _INT64_MAX",
+    ),
+    "deep path walk": (
+        lambda: occupancy_from_source(LabelSource.periodic(3), 2, 20000),
+        r"M\^depth = 2\^20000 paths to walk, over the cap of 65536 set by _EXPLICIT_CAP",
+    ),
 }
 
 
@@ -276,24 +292,27 @@ def test_budget_message_names_size_cap_and_constant(name):
         call()
 
 
-def _dense_trial_z(rng, parr, M, depth, union):
-    """Reference per-trial level loop over dense N^k count arrays.
+def _dense_block_z(rng, parr, M, depth, size, union):
+    """Reference level loop over one block's dense size x N^k count arrays.
 
-    The occupied words of each level are split in ascending index order, the
-    order the sparse kernel keeps, so both consume a stream identically.
+    Returns the per-trial Z, shape (depth + 1, size), and ORs each level's
+    occupied words into ``union[k - 1]``. The occupied (trial, word) cells of
+    each level are split in ascending index order, the order the sparse
+    kernel keeps, so both consume a stream identically.
     """
     N = parr.shape[0]
-    state = np.ones(1, dtype=np.int64)
-    zs = [1]
+    state = np.ones(size, dtype=np.int64)
+    zs = [[1] * size]
     for k in range(depth):
         occupied = np.nonzero(state)[0]
         child = np.zeros(state.size * N, dtype=np.int64)
         splits = stochastic._multinomial_split(rng, M * state[occupied], parr)
         child.reshape(state.size, N)[occupied, :] = splits
         state = child
-        zs.append(int(np.count_nonzero(state)))
-        union[k] |= state > 0
-    return zs
+        per_trial = state.reshape(size, -1) > 0
+        zs.append(per_trial.sum(axis=1).tolist())
+        union[k] |= per_trial.any(axis=0)
+    return np.array(zs)
 
 
 def _dict_evolve(occ, p, rng):
@@ -318,27 +337,48 @@ class TestKernelOracles:
         parr = SYM.as_array()
         for t in range(3):
             union = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
-            want = _dense_trial_z(stochastic._trial_rng(seed, t), parr, M, depth, union)
-            got_union = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
-            got = stochastic._block_z(parr, M, depth, seed, t, 1, got_union)
-            assert got[:, 0].tolist() == want
-            for a, b in zip(got_union, union):
-                assert np.array_equal(a, b)
+            want = _dense_block_z(stochastic._trial_rng(seed, t), parr, M, depth, 1, union)
+            got, words = stochastic._block_z(parr, M, depth, seed, t, 1)
+            assert np.array_equal(got, want)
+            assert len(words) == got[depth, 0]
+            # the deepest words, then every lower level as their prefixes
+            level = np.zeros(N**depth, dtype=bool)
+            level[words] = True
+            for k in range(depth, 0, -1):
+                assert np.array_equal(level, union[k - 1])
+                level = level.reshape(-1, N).any(axis=1)
 
-    def test_run_trials_matches_dense_loop_at_one_trial_per_block(self):
-        N, M, depth, trials, seed = 2, 2, 17, 4, 5
+    @pytest.mark.parametrize(
+        "p, M, depth, trials, seed",
+        [
+            # one trial a block: 2^17 > _BLOCK_ENTRIES
+            ((0.5, 0.5), 2, 17, 4, 5),
+            # blocks of B = 4 and B = 16 trials (N = 3), each run ending in a partial block
+            ((0.2, 0.8), 2, 14, 10, 6),
+            ((0.1, 0.3, 0.6), 2, 12, 20, 1),
+        ],
+        ids=["B1-N2-depth17", "B4-N2-depth14", "B16-N3-depth12"],
+    )
+    def test_run_trials_matches_dense_loop(self, p, M, depth, trials, seed):
+        pv = ProbVector(p)
+        N, parr = pv.N, pv.as_array()
+        B = stochastic._block_trials(N, M, depth)
         union = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
-        zs = np.array(
+        zs = np.concatenate(
             [
-                _dense_trial_z(stochastic._trial_rng(seed, t), SYM.as_array(), M, depth, union)
-                for t in range(trials)
-            ]
+                _dense_block_z(
+                    stochastic._trial_rng(seed, b), parr, M, depth, min(B, trials - b * B), union
+                )
+                for b in range(-(-trials // B))
+            ],
+            axis=1,
         )
-        s = run_trials(THIRDS_SPEC, SYM, M, depth, trials, master_seed=seed)
-        assert s.z_mean == tuple(zs.sum(axis=0) / trials)
-        assert s.z_min == tuple(zs.min(axis=0).tolist())
-        assert s.z_max == tuple(zs.max(axis=0).tolist())
+        s = run_trials(canonical_spec(N, 1 / (N + 1)), pv, M, depth, trials, master_seed=seed)
+        assert s.z_mean == tuple(zs.sum(axis=1) / trials)
+        assert s.z_min == tuple(zs.min(axis=1).tolist())
+        assert s.z_max == tuple(zs.max(axis=1).tolist())
         assert s.z_union == (1,) + tuple(int(u.sum()) for u in union)
+        assert s.z_union[depth] < N**depth  # unsaturated, so every level's union is tested
 
     def test_thread_count_is_invisible_across_blocks(self):
         # depth 8 gives blocks of 256 trials, so 1000 trials span 4 blocks
