@@ -77,10 +77,22 @@ def _exact_probs(p: ProbVector) -> list[Fraction] | None:
     return out
 
 
-def _check_labelings(N: int, E: int) -> None:
-    # log-space guard: N**E itself is unrepresentable for deep trees
-    if E * math.log2(N) > math.log2(_ENUM_CAP):
-        raise _budget_error(f"N^E = {N}^{E} labelings to enumerate", _ENUM_CAP, "_ENUM_CAP")
+def _check_labelings(N: int, M: int, depth: int) -> int:
+    """The edge count E of the depth-``depth`` tree, or the budget error if N^E > _ENUM_CAP.
+
+    N^E is formed only for E below the cap's bit length (N >= 2, so any larger
+    E is over the cap), and E past the cap's square prints as its closed form.
+    """
+    E = _edge_count(M, depth)
+    if E >= _ENUM_CAP.bit_length() or N**E > _ENUM_CAP:
+        if E <= _ENUM_CAP**2:
+            edges = str(E)
+        elif M == 2:
+            edges = f"(2^{depth + 1} - 2)"
+        else:
+            edges = f"(({M}^{depth + 1} - {M})/{M - 1})"
+        raise _budget_error(f"N^E = {N}^{edges} labelings to enumerate", _ENUM_CAP, "_ENUM_CAP")
+    return E
 
 
 def _digit_count_groups(
@@ -93,8 +105,7 @@ def _digit_count_groups(
     given, maps it to an extra integer per row that becomes part of the
     group key. Returns {(extra?, c_0..c_{N-1}): multiplicity}.
     """
-    E = _edge_count(M, depth)
-    _check_labelings(N, E)
+    E = _check_labelings(N, M, depth)
     total = N**E
     powers = N ** np.arange(E, dtype=np.int64)
     groups: dict[tuple, int] = {}
@@ -134,7 +145,7 @@ def brute_force_a(w, p: ProbVector, M: int):
     depth = len(symbols)
     N = p.N
     # budget check must precede the M^depth prefix table
-    _check_labelings(N, _edge_count(M, depth))
+    _check_labelings(N, M, depth)
     prefix = _prefix_edge_indices(M, depth)
     target = np.asarray(symbols, dtype=np.int8) - 1
 
@@ -327,7 +338,7 @@ def enumerate_z_distribution(
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     _checked_power("N^depth = {} words in one mask", N, depth, _MASK_BITS, "_MASK_BITS")
-    _check_labelings(N, _edge_count(M, depth))
+    _check_labelings(N, M, depth)
 
     result: list[dict[int, Fraction]] = [{1: Fraction(1)}]
     for level in range(1, depth + 1):

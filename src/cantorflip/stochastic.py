@@ -22,10 +22,21 @@ else (not on the thread count). When B == 1, block b is trial b, so deep
 shapes keep one stream per trial. At one seed both functions see the same
 trials: ``z_distribution`` is the histogram of the per-trial counts that
 ``run_trials`` aggregates.
+
+Within a level a stream is consumed column by column of the multinomial
+split. A column first draws its table entries in entry order, one uniform
+each: those with n >= 1 inside numpy's binomial inversion regime (n*q <= 30,
+q = min(ratio, 1 - ratio)) and at most ``_TABLE_ROWS``. Then the column's
+other entries with n >= 1 go to ``Generator.binomial``, in entry order.
+Entries with n = 0 draw nothing. Where a column has no such fallback entry,
+its draws are those of ``Generator.binomial`` on the whole column. (A
+uniform past the last CDF step of its row, below 1e-12 a draw, is redrawn
+after the column's other table draws, where numpy redraws it at once.)
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -47,6 +58,10 @@ _INT64_MAX = (1 << 63) - 1  # path counts and word codes are int64
 _BLOCK_ENTRIES = 1 << 16
 _PAIR_CAP = 1 << 28  # energy pair sum: at most 2^28 (Z^2) pairs per level
 _PAIR_TILE = 64  # energy pair sum: rows a tile; its 64 x Z buffer is at most 8 MB
+_INVERSION_MEAN = 30.0  # numpy inverts Binomial(n, q) when n*q <= 30, q = min(ratio, 1 - ratio)
+# last row of a binomial table: the whole inversion regime for q >= 1/10, and a
+# table (at most 301 rows of 128 CDF and guide entries) stays under 1 MB
+_TABLE_ROWS = 300
 
 
 @dataclass(frozen=True)
@@ -188,14 +203,121 @@ def _tail_probs(p: np.ndarray) -> np.ndarray:
     return np.cumsum(p[::-1])[::-1]
 
 
+@dataclass(frozen=True)
+class _InversionTable:
+    """Binomial(n, q) CDFs for n = 0..last, with a guide table, for one ratio.
+
+    Row n of ``cdf`` holds the running sums of numpy's inversion pmf for
+    Binomial(n, q), q = min(ratio, 1 - ratio), at k = 0..bound_n, then 2.0 (above
+    every uniform) to the row width W = 2^shift. ``guide[n*W + j]`` is the flat
+    ``cdf`` index of the least k with cdf[n, k] >= j/W, where the CDF search
+    for a uniform in [j/W, (j+1)/W) starts.
+    """
+
+    flip: bool  # ratio > 1/2: draws are made on the q side and flipped, n - X
+    last: int  # rows 1..last are numpy's inversion regime, n*q <= 30, within _TABLE_ROWS
+    shift: int
+    cdf: np.ndarray
+    guide: np.ndarray
+
+
+@functools.lru_cache(maxsize=128)
+def _inversion_table(ratio: float) -> _InversionTable:
+    """The table for ``ratio``, built on its first use with numpy's own arithmetic.
+
+    numpy inverts Binomial(n, q) with one uniform U: X is the least k with
+    U <= pmf(0) + ... + pmf(k), the pmf starting at (1 - q)^n = exp(n log(1 - q))
+    and following pmf(k) = (n - k + 1) q pmf(k - 1) / (k (1 - q)); a U past
+    k = bound_n = min(n, nq + 10 sqrt(nq(1 - q) + 1)) is redrawn. The rows
+    repeat those floating-point operations, so they hold numpy's own pmf.
+    """
+    flip = ratio > 0.5
+    q = 1.0 - ratio if flip else ratio
+    qc = 1.0 - q
+    n = np.arange(_TABLE_ROWS + 1, dtype=np.int64)
+    n = n[n * q <= _INVERSION_MEAN]
+    mean = n * q
+    bound = np.minimum(n, mean + 10.0 * np.sqrt(mean * qc + 1.0)).astype(np.int64)
+    shift = (int(bound.max()) + 1).bit_length()  # W > bound + 1: every row ends in 2.0
+    W = 1 << shift
+    pmf = np.zeros((n.size, W))
+    log_qc = math.log(qc)  # libm, as numpy's C code calls it
+    pmf[:, 0] = [math.exp(k * log_qc) for k in n.tolist()]
+    for k in range(1, int(bound.max()) + 1):
+        pmf[:, k] = ((n - k + 1) * q * pmf[:, k - 1]) / (k * qc)
+    cdf = np.cumsum(pmf, axis=1)
+    cdf[np.arange(W) > bound[:, None]] = 2.0
+    thresholds = np.arange(W) / W
+    guide = np.concatenate(
+        [np.searchsorted(row, thresholds) + i * W for i, row in enumerate(cdf)]
+    )
+    cdf = cdf.ravel()
+    cdf.flags.writeable = guide.flags.writeable = False  # one cached table serves every caller
+    return _InversionTable(flip, int(n[-1]), shift, cdf, guide)
+
+
+def _invert(table: _InversionTable, n: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X = least k with u <= cdf[n, k] for each entry (1 <= n <= last), on the q side.
+
+    Returns X and the indices of the entries whose u lies past cdf[n, bound_n],
+    which numpy redraws.
+    """
+    # in-place steps: a level can hold millions of entries
+    x = (u * (1 << table.shift)).astype(np.int64)
+    x += n << table.shift
+    x = table.guide[x]
+    walked = i = np.flatnonzero(u > table.cdf[x])
+    while i.size:
+        x[i] += 1
+        i = i[u[i] > table.cdf[x[i]]]
+    again = walked[table.cdf[x[walked]] == 2.0]
+    x -= n << table.shift
+    return x, again
+
+
+def _table_binomial(rng: np.random.Generator, table: _InversionTable, n: np.ndarray) -> np.ndarray:
+    """Table draws for entries with 1 <= n <= last: one uniform each, in entry order."""
+    x, again = _invert(table, n, rng.random(n.size))
+    while again.size:  # numpy redraws at once; here the redraws follow the level's draws
+        redrawn, back = _invert(table, n[again], rng.random(again.size))
+        x[again] = redrawn
+        again = again[back]
+    return np.subtract(n, x, out=x) if table.flip else x
+
+
+def _binomial(rng: np.random.Generator, n: np.ndarray, ratio: float) -> np.ndarray:
+    """Binomial(n_i, ratio) for every entry of the int64 array ``n``.
+
+    Entries in numpy's inversion regime (n*q <= 30 with q = min(ratio,
+    1 - ratio), n >= 1), up to the table's last row, invert one uniform each
+    against ``_inversion_table(ratio)``, in entry order. Then the remaining
+    entries with n >= 1 go to ``Generator.binomial``, in entry order. Entries
+    with n = 0 draw nothing and give 0.
+    """
+    table = _inversion_table(float(ratio))
+    if n.size and n.min() >= 1 and n.max() <= table.last:
+        return _table_binomial(rng, table, n)
+    inverted = (n >= 1) & (n <= table.last)
+    drawn = _table_binomial(rng, table, n[inverted])
+    out = np.zeros_like(n)
+    out[inverted] = drawn
+    rest = n > table.last
+    if rest.any():
+        out[rest] = rng.binomial(n[rest], ratio)
+    return out
+
+
 def _multinomial_split(rng: np.random.Generator, n: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Exact multinomial(n_i, p) draw for every entry of ``n``.
 
     Sequential conditional binomials: column l is Binomial(remaining, p_l /
     tail_l) and the last column takes what is left, so mass is conserved
-    exactly. The generator's binomial sampler is exact (inversion for small
-    mean, transformed rejection above), so no normal approximation enters at
-    any count size.
+    exactly. Each column is one ``_binomial`` call: entries inside numpy's
+    inversion regime invert a uniform against a cached CDF table, and the
+    rest go to ``Generator.binomial`` (exact inversion or transformed
+    rejection), so no normal approximation enters at any count size. Where
+    no entry of a column goes to ``Generator.binomial``, the column is the
+    draw ``rng.binomial(rem, ratio)`` would make, from the same uniforms.
     """
     n = np.asarray(n, dtype=np.int64)
     N = p.shape[0]
@@ -204,7 +326,7 @@ def _multinomial_split(rng: np.random.Generator, n: np.ndarray, p: np.ndarray) -
     rem = n.copy()
     for l in range(N - 1):
         ratio = min(1.0, p[l] / tails[l])
-        draw = rng.binomial(rem, ratio)
+        draw = _binomial(rng, rem, ratio)
         out[:, l] = draw
         rem -= draw
     out[:, N - 1] = rem

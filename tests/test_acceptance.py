@@ -210,3 +210,25 @@ def test_criterion9_distributional(exact_p):
             for z in support
         )
         assert tv < 0.01, (exact_p, level, tv)
+
+
+@pytest.mark.acceptance(criterion=9, label="simulated Z law matches enumeration, TV < 0.01")
+def test_criterion9_distributional_three_letters():
+    # N = M = 3: the split's ratios 3/5 and 3/4 are drawn flipped, and the
+    # second column sees zero remainders. Over seeds 0..29 the worst level's
+    # TV read 0.0008-0.0045 (median 0.0026); this seed reads 0.0031.
+    exact_p = (Fraction(3, 5), Fraction(3, 10), Fraction(1, 10))
+    depth = 2
+    trials = 10**5
+    p = cf.ProbVector(tuple(float(q) for q in exact_p))
+    hists = cf.z_distribution(p, 3, depth, trials, master_seed=424242)
+    law = cf.enumerate_z_distribution(exact_p, 3, depth)
+    for level in range(1, depth + 1):
+        total = sum(hists[level].values())
+        assert total == trials
+        support = set(hists[level]) | set(law[level])
+        tv = 0.5 * sum(
+            abs(hists[level].get(z, 0) / total - float(law[level].get(z, 0)))
+            for z in support
+        )
+        assert tv < 0.01, (level, tv)

@@ -21,6 +21,7 @@ from cantorflip import (
     multinomial_bound,
     pi_sequence,
 )
+from cantorflip import exact
 from cantorflip.errors import BudgetError
 
 SYM = ProbVector((0.5, 0.5))
@@ -254,6 +255,20 @@ BUDGET_MESSAGES = {
         lambda: enumerate_z_distribution(HALVES, 2, 20000),
         r"^N\^depth = 2\^20000 words in one mask, over the cap of 63 set by _MASK_BITS$",
     ),
+    # E = 2^(n+1) - 2 edges: past cap^2 E prints in closed form, and the
+    # comparison never turns E into a float (2^1101 overflows one)
+    "long word labelings": (
+        lambda: brute_force_a((1,) * 1100, SYM, 2),
+        r"^N\^E = 2\^\(2\^1101 - 2\) labelings to enumerate, over the cap of 16777216 set by _ENUM_CAP$",
+    ),
+    "very long word labelings": (
+        lambda: brute_force_a((1,) * 15000, SYM, 2),
+        r"^N\^E = 2\^\(2\^15001 - 2\) labelings to enumerate, over the cap of 16777216 set by _ENUM_CAP$",
+    ),
+    "ternary long word labelings": (
+        lambda: brute_force_a((1,) * 1100, SYM, 3),
+        r"^N\^E = 2\^\(\(3\^1101 - 3\)/2\) labelings to enumerate, over the cap of 16777216 set by _ENUM_CAP$",
+    ),
 }
 
 
@@ -262,3 +277,10 @@ def test_budget_message_names_size_cap_and_constant(name):
     call, message = BUDGET_MESSAGES[name]
     with pytest.raises(BudgetError, match=message):
         call()
+
+
+def test_labelings_cap_is_compared_exactly():
+    # M = 12, depth 1 has E = 12 edges: 4^12 is the cap itself, 4^13 is over it
+    assert exact._check_labelings(4, 12, 1) == 12
+    with pytest.raises(BudgetError, match=r"^N\^E = 4\^13 labelings"):
+        exact._check_labelings(4, 13, 1)

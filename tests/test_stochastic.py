@@ -5,6 +5,7 @@ failures are reproducible bit for bit.
 """
 
 import math
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -327,6 +328,117 @@ def _dict_evolve(occ, p, rng):
             if c > 0:
                 entries[w + (l + 1,)] = c
     return OccupancyMap(occ.level + 1, occ.M, entries)
+
+
+def _inversion_limit(ratio):
+    """Largest n that numpy inverts at ``ratio``: n*q <= 30, q = min(ratio, 1 - ratio)."""
+    q = 1.0 - ratio if ratio > 0.5 else ratio
+    n = np.arange(1000)
+    return int(n[n * q <= 30.0].max())
+
+
+def _binomial_pmf(n, ratio):
+    return [math.comb(n, k) * ratio**k * (1.0 - ratio) ** (n - k) for k in range(n + 1)]
+
+
+def _chi_square(sample, pmf):
+    """Pearson statistic and degrees of freedom, tails pooled until each bin expects >= 5."""
+    T = len(sample)
+    observed = np.bincount(sample, minlength=len(pmf)).tolist()
+    bins, obs, exp = [], 0, 0.0
+    for o, q in zip(observed, pmf):
+        obs, exp = obs + o, exp + T * q
+        if exp >= 5.0:
+            bins.append([obs, exp])
+            obs, exp = 0, 0.0
+    bins[-1][0] += obs
+    bins[-1][1] += exp
+    return sum((o - e) ** 2 / e for o, e in bins), len(bins) - 1
+
+
+class _ScriptedUniforms:
+    """A generator stand-in whose ``random`` calls return the given arrays in turn."""
+
+    def __init__(self, *draws):
+        self.draws = [np.asarray(d, dtype=np.float64) for d in draws]
+
+    def random(self, size):
+        u = self.draws.pop(0)
+        assert u.size == size
+        return u
+
+
+class TestBinomialSampler:
+    @pytest.mark.parametrize("ratio", [0.1, 1 / 3, 0.5, 0.7, 0.9])
+    def test_matches_numpy_draw_for_draw_in_its_inversion_regime(self, ratio):
+        limit = _inversion_limit(ratio)
+        q = min(ratio, 1.0 - ratio)
+        assert 29.5 < limit * q <= 30.0 < (limit + 1) * q  # n reaches the regime's edge
+        shuffle = np.random.default_rng(limit)
+        n = shuffle.permutation(np.repeat(np.arange(limit + 1, dtype=np.int64), 40))
+        n = np.concatenate([[0, 0, limit], n, [limit, 1, 0]])
+        ours, ref = np.random.default_rng(2024), np.random.default_rng(2024)
+        got = stochastic._binomial(ours, n, ratio)
+        assert np.array_equal(got, ref.binomial(n, ratio))
+        # the same uniforms were consumed: n = 0 entries draw none
+        assert ours.random() == ref.random()
+
+    def test_split_matches_sequential_numpy_binomials(self):
+        # every entry inverted: the split is the old per-column rng.binomial loop
+        p = np.array([0.6, 0.3, 0.1])  # ratios 0.6 and 0.75, both drawn flipped
+        n = np.random.default_rng(5).integers(0, 40, 5000)
+        got = stochastic._multinomial_split(np.random.default_rng(9), n, p)
+        rng, rem, want = np.random.default_rng(9), n.copy(), []
+        for ratio in (0.6, 0.3 / 0.4):
+            want.append(rng.binomial(rem, ratio))
+            rem = rem - want[-1]
+        assert np.array_equal(got, np.stack(want + [rem], axis=1))
+
+    @pytest.mark.parametrize(
+        "ratio, ns",
+        [
+            # table rows, then n*q just past 30 (numpy's rejection sampler)
+            (0.5, (40, 60, 61, 90)),
+            (0.7, (50, 99, 100)),
+            (0.9, (120, 300, 301)),
+            # past the table's last row but inside numpy's inversion regime, and beyond it
+            (0.05, (200, 300, 301, 450, 700)),
+        ],
+        ids=["half", "flipped-0.7", "flipped-0.9", "past-last-row"],
+    )
+    def test_mixed_call_matches_exact_pmf(self, ratio, ns):
+        assert stochastic._TABLE_ROWS == 300  # the ns above straddle this row
+        T = 20000
+        n = np.random.default_rng(len(ns)).permutation(np.repeat(np.array(ns, dtype=np.int64), T))
+        draws = stochastic._binomial(np.random.default_rng(77), n, ratio)
+        for size in ns:
+            stat, df = _chi_square(draws[n == size], _binomial_pmf(size, ratio))
+            # about 6 sigma of a chi-square with df degrees of freedom
+            assert stat < df + 6 * math.sqrt(2 * df), (ratio, size, stat, df)
+
+    def test_uniform_past_the_last_cdf_step_is_redrawn(self):
+        # numpy restarts its inversion when U passes the pmf mass up to bound_n
+        table = stochastic._inversion_table(0.5)
+        W = 1 << table.shift
+        cdf = table.cdf.reshape(-1, W)
+        ends = np.where(cdf < 2.0, cdf, -1.0).max(axis=1)
+        top = 1.0 - 2.0**-53  # the largest uniform the generator returns
+        n = int(np.flatnonzero(ends < top)[0])
+        want = next(k for k, c in enumerate(np.cumsum(_binomial_pmf(n, 0.5))) if c >= 0.3)
+        rng = _ScriptedUniforms([top], [0.3])
+        assert stochastic._binomial(rng, np.array([n]), 0.5).tolist() == [want]
+        assert rng.draws == []
+
+    def test_tables_are_built_on_first_draw_not_at_import(self):
+        code = (
+            "import cantorflip, cantorflip.cli\n"
+            "from cantorflip import stochastic\n"
+            "print(stochastic._inversion_table.cache_info().currsize)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+        )
+        assert out.stdout.split() == ["0"]
 
 
 class TestKernelOracles:
