@@ -5,9 +5,9 @@ ratio r, label every edge of the full M-ary tree with a symbol in {1..N},
 and keep, at each level, the basic intervals whose label word some root
 path carries. Random i.i.d. labels give a statistically self-similar set;
 marking every m-th edge gives a deterministic one. The modules split along
-those lines: tree indexing (`symbolic`), interval geometry (`ifs`),
-simulation (`stochastic`), exact recursions (`exact`), dimension bounds
-(`bounds`), the periodic construction (`detfrac`), and a CLI (`cli`).
+those lines: interval geometry and label words (`ifs`), simulation
+(`stochastic`), exact recursions (`exact`), dimension bounds (`bounds`),
+the periodic construction (`detfrac`), and a CLI (`cli`).
 """
 
 from .bounds import (
@@ -28,19 +28,15 @@ from .bounds import (
 from .detfrac import (
     DeterministicSpec,
     GrowthEstimate,
-    ModGraph,
     dim_Fm,
     dimension_rows,
     dump_words,
-    from_label_symbols,
     graph_words,
     growth_rate,
     level_of,
-    mod_graph,
     rho,
     sft_count,
     sft_words,
-    to_label_symbols,
     tree_words,
 )
 from .errors import BudgetError
@@ -56,28 +52,15 @@ from .exact import (
 )
 from .ifs import IfsSpec, Interval, canonical_spec, dim_C, interval
 from .stochastic import (
-    LabelSource,
     OccupancyMap,
     ProbVector,
     TrialStats,
     energy_estimate,
     estimate_dim,
     evolve,
-    occupancy_from_source,
     run_trials,
     z_distribution,
     z_n,
-)
-from .symbolic import (
-    EQUAL,
-    GREATER,
-    LESS,
-    LabelWord,
-    PathWord,
-    child_indices,
-    compare_star,
-    kappa,
-    kappa_inverse,
 )
 
 __version__ = "0.1.0"

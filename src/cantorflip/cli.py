@@ -187,6 +187,9 @@ def cmd_simulate(params: dict) -> int:
     p, spec = _geometry(params)
     M, depth, trials, seed = (params[k] for k in ("M", "depth", "trials", "master_seed"))
     window = tuple(params.get("window", (max(0, depth // 2), depth)))
+    # checked before the trials run, which can take minutes
+    if not 0 <= window[0] < window[1] <= depth:
+        raise ValueError(f"window {list(window)} needs 0 <= lo < hi <= depth = {depth}")
     stats = run_trials(spec, p, M, depth, trials, seed, threads=_threads())
     estimate = estimate_dim(stats.z_union, spec.r, window)
     resolved = {

@@ -1,8 +1,7 @@
 """Deterministic labelings that mark every m-th edge of the binary tree.
 
-Edges are marked in breadth-first index order (symbol 1 at indices
-congruent to the offset mod m, symbol 0 elsewhere; this module writes words
-over {0,1} and maps to the library's {1,2} alphabet only at the boundary).
+Edges are marked in breadth-first index order: symbol 1 at indices
+congruent to the offset mod m, symbol 0 elsewhere, so words are over {0,1}.
 The level-n word sets grow like rho_L^n where L is determined by the block
 2^(L+1)-1 <= m <= 2^(L+2)-2 and rho_L is the positive root of
 x^(L+1) = x^L + 1, which makes the limit set's dimension
@@ -87,26 +86,6 @@ def dim_Fm(m: int, r: float) -> float:
     return top / math.log(1.0 / r)
 
 
-@dataclass(frozen=True)
-class ModGraph:
-    """Digraph on residues 0..m-1 with j -> (2j+1) mod m and (2j+2) mod m.
-
-    The two targets can coincide (a double edge); m-1 always carries a
-    self-loop plus an edge to 0.
-    """
-
-    m: int
-
-    def successors(self, j: int) -> tuple[int, int]:
-        return (2 * j + 1) % self.m, (2 * j + 2) % self.m
-
-
-def mod_graph(m: int) -> ModGraph:
-    if m < 3:
-        raise ValueError(f"graph defined for m >= 3, got {m}")
-    return ModGraph(m)
-
-
 def _determinize(start: frozenset[int], successors, symbol, n: int):
     """Subset automaton of the marked successor steps, with its level-n word counts.
 
@@ -171,12 +150,18 @@ def tree_words(spec: DeterministicSpec | int, n: int) -> set[Word01]:
 def graph_words(m: int, n: int) -> set[Word01]:
     """Words emitted by length-n walks on the mod-m digraph from vertices 1 and 2.
 
-    Each visited vertex emits 1 if it is 0 and 0 otherwise. Vertex v is tree
-    residue v-1, so this is tree_words' automaton at the default offset under
-    the relabelling c -> c+1, and the two word sets must match.
+    The digraph has edges v -> (2v+1) mod m and v -> (2v+2) mod m, defined
+    for m >= 3. Each visited vertex emits 1 if it is 0 and 0 otherwise.
+    Vertex v is tree residue v-1, so this is tree_words' automaton at the
+    default offset under the relabelling c -> c+1, and the two word sets
+    must match.
     """
+    if m < 3:
+        raise ValueError(f"graph defined for m >= 3, got {m}")
     # pseudo-start: vertex 0's successors are exactly the real starts 1 and 2
-    return _level_words(frozenset({0}), mod_graph(m).successors, lambda v: v == 0, n)
+    return _level_words(
+        frozenset({0}), lambda v: ((2 * v + 1) % m, (2 * v + 2) % m), lambda v: v == 0, n
+    )
 
 
 def sft_count(L: int, n: int) -> int:
@@ -239,19 +224,6 @@ def growth_rate(word_counts) -> GrowthEstimate:
     logs = [math.log(c) for c in counts]
     slope = statistics.linear_regression(range(len(logs)), logs).slope
     return GrowthEstimate(counts[-1] / counts[-2], math.exp(slope))
-
-
-def to_label_symbols(word: Word01) -> tuple[int, ...]:
-    """Map this module's {0,1} words onto the library's {1,2} label alphabet."""
-    if any(s not in (0, 1) for s in word):
-        raise ValueError(f"word {word} is not binary")
-    return tuple(s + 1 for s in word)
-
-
-def from_label_symbols(word) -> Word01:
-    if any(s not in (1, 2) for s in word):
-        raise ValueError(f"word {tuple(word)} is not over labels {{1,2}}")
-    return tuple(s - 1 for s in word)
 
 
 def dimension_rows(ms, r: float) -> list[tuple[int, int | None, float | None, float]]:

@@ -15,7 +15,6 @@ tested against something that cannot share their bugs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import _budget_error, _checked_power
+from .ifs import label_symbols
 from .stochastic import ProbVector
-from .symbolic import PathWord, kappa, label_symbols
 
 _ENUM_CAP = 1 << 24  # labelings a brute-force enumeration may visit
 _WORD_CAP = 1 << 20  # words a full-level sum may hold
@@ -53,11 +52,15 @@ def a_probability(w, p: ProbVector, M: int) -> float:
 
 
 def _prefix_edge_indices(M: int, depth: int) -> np.ndarray:
-    """kappa indices of every prefix of every depth-``depth`` path, (M^depth, depth)."""
-    rows = []
-    for path in itertools.product(range(1, M + 1), repeat=depth):
-        rows.append([kappa(PathWord(path[: j + 1], M)) for j in range(depth)])
-    return np.asarray(rows, dtype=np.int64)
+    """Breadth-first edge index of every prefix of every depth-``depth`` path.
+
+    Row i is the path of lexicographic rank i, column j - 1 the edge its
+    length-j prefix ends on: the (M^j - M)/(M - 1) edges of shallower levels
+    plus the prefix's rank i // M^(depth - j). Shape (M^depth, depth).
+    """
+    j = np.arange(1, depth + 1, dtype=np.int64)
+    offsets = (M**j - M) // (M - 1)
+    return offsets + np.arange(M**depth, dtype=np.int64)[:, None] // M ** (depth - j)
 
 
 def _edge_count(M: int, depth: int) -> int:

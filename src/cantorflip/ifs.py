@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .symbolic import LabelWord, label_symbols
-
 _TOL = 1e-9
 
 
@@ -131,7 +129,16 @@ def canonical_spec(N: int, r: float) -> IfsSpec:
     return IfsSpec(N, float(r), b, (1,) * N)
 
 
-def interval(spec: IfsSpec, w: LabelWord | Sequence[int]) -> Interval:
+def label_symbols(w: Sequence[int], N: int) -> tuple[int, ...]:
+    """The symbols of a label word, checked against the alphabet {1..N}."""
+    symbols = tuple(int(s) for s in w)
+    for s in symbols:
+        if not 1 <= s <= N:
+            raise ValueError(f"label symbol {s} outside 1..{N}")
+    return symbols
+
+
+def interval(spec: IfsSpec, w: Sequence[int]) -> Interval:
     """Basic interval addressed by ``w``: image of [0,1] under the composition.
 
     The affine composition is accumulated left to right, so the rounding

@@ -47,12 +47,10 @@ import numpy as np
 
 from .errors import _budget_error, _checked_power
 from .ifs import IfsSpec, interval
-from .symbolic import EdgeIndex, child_indices
 
 _DENSE_STATE_CAP = 1 << 24  # the pooled-union bitmap: at most 2^24 words
 _TRIAL_STATE_CAP = 1 << 24  # one trial's sparse state: at most 2^24 words a level
 _WORK_CAP = 1 << 34  # trials * min(N, M)^depth words
-_EXPLICIT_CAP = 1 << 16  # per-path walk budget (M^depth)
 _INT64_MAX = (1 << 63) - 1  # path counts and word codes are int64
 # a block of B > 1 trials holds at most 2^16 words at any level (B * min(N, M)^depth)
 _BLOCK_ENTRIES = 1 << 16
@@ -96,72 +94,6 @@ class ProbVector:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class LabelSource:
-    """Assignment of a label in {1..N} to every edge index.
-
-    Two kinds:
-
-    * ``random(seed, p)``: i.i.d. draws from p, one independent stream per
-      edge index (derived from ``(seed, index)``), so labels are
-      reproducible and independent of query order.
-    * ``periodic(m, offset)``: binary sources over symbols {1, 2} that mark
-      symbol 2 exactly at edge indices congruent to ``offset`` mod m and
-      symbol 1 elsewhere. The default offset m-1 marks every m-th edge in
-      breadth-first order, counting from the first edge as number one.
-    """
-
-    kind: str
-    p: ProbVector | None = None
-    seed: int | None = None
-    m: int | None = None
-    offset: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == "random":
-            if self.p is None or self.seed is None:
-                raise ValueError("random label source needs a seed and a ProbVector")
-            if self.seed < 0:
-                raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        elif self.kind == "periodic":
-            if self.m is None or self.m < 2:
-                raise ValueError(f"period must be at least 2, got {self.m}")
-            offset = self.m - 1 if self.offset is None else self.offset
-            if not 0 <= offset < self.m:
-                raise ValueError(f"offset {offset} outside 0..{self.m - 1}")
-            object.__setattr__(self, "offset", offset)
-        else:
-            raise ValueError(f"unknown label source kind {self.kind!r}")
-
-    @classmethod
-    def random(cls, seed: int, p: ProbVector) -> "LabelSource":
-        return cls("random", p=p, seed=seed)
-
-    @classmethod
-    def periodic(cls, m: int, offset: int | None = None) -> "LabelSource":
-        return cls("periodic", m=m, offset=offset)
-
-    @property
-    def N(self) -> int:
-        return self.p.N if self.kind == "random" else 2
-
-    def label(self, k: EdgeIndex) -> int:
-        if k < 0:
-            raise ValueError(f"edge index must be nonnegative, got {k}")
-        if self.kind == "periodic":
-            return 2 if k % self.m == self.offset else 1
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=self.seed, spawn_key=(int(k),)))
-        )
-        u = rng.random()
-        acc = 0.0
-        for i, x in enumerate(self.p.values, start=1):
-            acc += x
-            if u < acc:
-                return i
-        return self.p.N
 
 
 @dataclass(frozen=True)
@@ -382,34 +314,6 @@ def z_n(occ: OccupancyMap) -> int:
     return len(occ.entries)
 
 
-def occupancy_from_source(source: LabelSource, M: int, depth: int) -> list[OccupancyMap]:
-    """Occupancy maps for levels 0..depth by walking every path explicitly.
-
-    Labels each edge through ``source.label``; exponential in the depth
-    (M^depth paths), so it is a cross-check for the aggregated evolution and
-    for deterministic word sets, not a production path.
-    """
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
-    if M < 2:
-        raise ValueError(f"arity must be at least 2, got {M}")
-    _checked_power("M^depth = {} paths to walk", M, depth, _EXPLICIT_CAP, "_EXPLICIT_CAP")
-    maps = [OccupancyMap.root(M)]
-    frontier: list[tuple[tuple[int, ...], EdgeIndex | None]] = [((), None)]
-    for level in range(1, depth + 1):
-        nxt: list[tuple[tuple[int, ...], EdgeIndex]] = []
-        counts: dict[tuple[int, ...], int] = {}
-        for word, k in frontier:
-            edges = range(M) if k is None else child_indices(k, M)
-            for k2 in edges:
-                w2 = word + (source.label(k2),)
-                nxt.append((w2, k2))
-                counts[w2] = counts.get(w2, 0) + 1
-        maps.append(OccupancyMap(level, M, counts))
-        frontier = nxt
-    return maps
-
-
 @dataclass(frozen=True)
 class TrialStats:
     """Per-level occupancy statistics over independent trials.
@@ -502,13 +406,17 @@ def _trial_blocks(
         yield from pool.map(run, blocks)
 
 
-def _check_budgets(N: int, M: int, depth: int, trials: int) -> None:
-    """Bounds shared by ``run_trials`` and ``z_distribution``.
+def _check_budgets(N: int, M: int, depth: int, trials: int, master_seed: int) -> None:
+    """Argument checks and bounds shared by ``run_trials`` and ``z_distribution``.
 
     A block of ``min(B, trials)`` trials codes its level-depth words as
     j*N^depth + word, so that product must fit int64; one trial holds at most
     min(N, M)^depth words a level.
     """
+    if M < 2:
+        raise ValueError(f"arity must be at least 2, got {M}")
+    if master_seed < 0:
+        raise ValueError(f"master seed must be nonnegative, got {master_seed}")
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
     if trials < 1:
@@ -549,13 +457,9 @@ def run_trials(
     N = p.N
     if spec.N != N:
         raise ValueError(f"spec has N={spec.N} but p has {N} entries")
-    if M < 2:
-        raise ValueError(f"arity must be at least 2, got {M}")
-    if master_seed < 0:
-        raise ValueError(f"master seed must be nonnegative, got {master_seed}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    _check_budgets(N, M, depth, trials)
+    _check_budgets(N, M, depth, trials, master_seed)
     words = _checked_power(
         "N^depth = {} words a pooled-union bitmap", N, depth, _DENSE_STATE_CAP, "_DENSE_STATE_CAP"
     )
@@ -609,10 +513,7 @@ def z_distribution(
     min(N, M)^depth) trials on the same per-block streams, so these
     histograms reproduce its z_mean, z_min and z_max.
     """
-    N = p.N
-    if M < 2:
-        raise ValueError(f"arity must be at least 2, got {M}")
-    _check_budgets(N, M, depth, trials)
+    _check_budgets(p.N, M, depth, trials, master_seed)
     hists: list[Counter] = [Counter() for _ in range(depth + 1)]
     for zs, _ in _trial_blocks(p, M, depth, trials, master_seed, 1):
         for hist, row in zip(hists, zs.tolist()):

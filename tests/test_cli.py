@@ -137,6 +137,18 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["summary"]["window"] == [6, 10]
 
+    @pytest.mark.parametrize("window", ["5,11", "6,6", "8,2"])
+    def test_window_outside_depth_exits_2_before_any_trial(self, capsys, monkeypatch, window):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("run_trials ran before the window was checked")
+
+        monkeypatch.setattr(cli, "run_trials", no_trials)
+        code, out, err = run_cli(capsys, *self.ARGS, "--window", window)
+        assert code == 2
+        assert out == ""
+        lo, hi = window.split(",")
+        assert f"window [{lo}, {hi}] needs 0 <= lo < hi <= depth = 10" in err
+
 
 class TestExact:
     def test_pi_table(self, capsys):

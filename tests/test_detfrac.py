@@ -17,15 +17,12 @@ from cantorflip import (
     dim_Fm,
     dimension_rows,
     dump_words,
-    from_label_symbols,
     graph_words,
     growth_rate,
     level_of,
-    mod_graph,
     rho,
     sft_count,
     sft_words,
-    to_label_symbols,
     tree_words,
 )
 from cantorflip import detfrac
@@ -96,24 +93,6 @@ class TestDimFm:
         vals = [dim_Fm(m, 1 / 3) for m in (2, 3, 7, 15, 31, 62)]
         assert vals[-1] == vals[-2]  # 31 and 62 share a block
         assert all(a > b for a, b in zip(vals[:-1], vals[1:-1]))
-
-
-class TestModGraph:
-    def test_m6_successors(self):
-        g = mod_graph(6)
-        assert [g.successors(j) for j in range(6)] == [
-            (1, 2), (3, 4), (5, 0), (1, 2), (3, 4), (5, 0),
-        ]
-
-    def test_m3_successors(self):
-        g = mod_graph(3)
-        assert [g.successors(j) for j in range(3)] == [(1, 2), (0, 1), (2, 0)]
-
-    def test_rule(self):
-        for m in (4, 7, 10):
-            g = mod_graph(m)
-            for j in range(m):
-                assert g.successors(j) == ((2 * j + 1) % m, (2 * j + 2) % m)
 
 
 class TestWordSets:
@@ -198,8 +177,8 @@ def brute_force_counts(m: int, n: int, offset: int | None = None) -> tuple[list[
 class TestBruteForceTree:
     """The every-m-th-edge construction checked against the literal tree.
 
-    Nothing here generates words through tree_words, graph_words, mod_graph,
-    level_of or rho; those are only the values under test.
+    Nothing here generates words through tree_words, graph_words, level_of
+    or rho; those are only the values under test.
     """
 
     BLOCKS = {1: range(3, 7), 2: range(7, 15), 3: range(15, 31), 4: range(31, 63)}
@@ -242,7 +221,9 @@ class TestSubsetAutomaton:
         "tree": lambda m: (
             frozenset({m - 1}), lambda c: ((2 * c + 2) % m, (2 * c + 3) % m), lambda c: c == m - 1
         ),
-        "graph": lambda m: (frozenset({0}), mod_graph(m).successors, lambda v: v == 0),
+        "graph": lambda m: (
+            frozenset({0}), lambda v: ((2 * v + 1) % m, (2 * v + 2) % m), lambda v: v == 0
+        ),
     }
 
     @pytest.mark.parametrize("automaton", sorted(AUTOMATA))
@@ -305,20 +286,6 @@ def test_residue_cap_bounds_one_level(monkeypatch, words):
     monkeypatch.setattr(detfrac, "_STATE_CAP", 1000)
     _, codes = brute_force_counts(700, 16)
     assert words(700, 16) == {tuple(int(b) for b in format(int(c), "016b")) for c in codes}
-
-class TestSymbolBridge:
-    def test_roundtrip(self):
-        w = (0, 1, 0, 0, 1)
-        assert from_label_symbols(to_label_symbols(w)) == w
-
-    def test_mapping(self):
-        assert to_label_symbols((0, 1)) == (1, 2)
-        assert from_label_symbols((1, 2)) == (0, 1)
-        with pytest.raises(ValueError):
-            to_label_symbols((2,))
-        with pytest.raises(ValueError):
-            from_label_symbols((0,))
-
 
 class TestGrowth:
     def test_fibonacci_growth_is_golden(self):

@@ -5,9 +5,11 @@ configurations of the truncated tree (`brute_force_a` in exact Fraction
 mode) and are asserted here as plain constants.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cantorflip import (
@@ -82,11 +84,48 @@ class TestBruteForce:
         with pytest.raises(BudgetError):
             brute_force_a((1,) * 30, SYM, 2)
 
-    @pytest.mark.parametrize("p", [SYM, SKEW])
-    def test_matches_recursion_length_two(self, p):
-        for w in [(1,), (2,), (1, 2), (2, 2)]:
-            assert a_probability(w, p, 2) == pytest.approx(
-                float(brute_force_a(w, p, 2)), abs=1e-13
+    @pytest.mark.parametrize(
+        "p, M", [(SYM, 2), (SKEW, 2), (SYM, 3), (SKEW, 3)], ids=["p0", "p1", "p0-M3", "p1-M3"]
+    )
+    def test_matches_recursion_length_two(self, p, M):
+        words = [w for n in (1, 2) for w in itertools.product((1, 2), repeat=n)]
+        for w in words:
+            assert a_probability(w, p, M) == pytest.approx(
+                float(brute_force_a(w, p, M)), abs=1e-13
+            )
+
+
+def _running_edge_index(M: int, depth: int) -> np.ndarray:
+    """Edge index of every prefix of every path, from a running breadth-first count.
+
+    Level k's edges take the next M^k indices, left to right, and the M
+    children of a level's j-th edge are the next level's edges M*j..M*j+M-1,
+    so every one of the M^depth paths is built explicitly, in lexicographic
+    order.
+    """
+    edges = np.zeros((1, 0), dtype=np.int64)
+    start = 0
+    for k in range(1, depth + 1):
+        index = start + np.arange(M**k, dtype=np.int64)
+        start += M**k
+        edges = np.column_stack([np.repeat(edges, M, axis=0), index])
+    return edges
+
+
+class TestPrefixEdgeIndices:
+    def test_first_levels_binary(self):
+        # level 1 holds edges 0-1, level 2 edges 2-5, level 3 edges 6-13
+        table = exact._prefix_edge_indices(2, 3)
+        assert table.tolist() == [
+            [0, 2, 6], [0, 2, 7], [0, 3, 8], [0, 3, 9],
+            [1, 4, 10], [1, 4, 11], [1, 5, 12], [1, 5, 13],
+        ]
+
+    @pytest.mark.parametrize("M", [2, 3, 4])
+    def test_matches_running_edge_index(self, M):
+        for depth in range(1, 5):
+            np.testing.assert_array_equal(
+                exact._prefix_edge_indices(M, depth), _running_edge_index(M, depth)
             )
 
 
@@ -205,11 +244,12 @@ class TestEnumerateDistribution:
 
     def test_mean_matches_expected_zn(self):
         probs = (Fraction(1, 3), Fraction(2, 3))
-        dist = enumerate_z_distribution(probs, 2, 3)
         p = ProbVector((1 / 3, 2 / 3))
-        for n in (1, 2, 3):
-            mean = float(sum(z * w for z, w in dist[n].items()))
-            assert mean == pytest.approx(expected_zn(p, 2, n), rel=1e-12)
+        for M, depth in ((2, 3), (3, 2)):
+            dist = enumerate_z_distribution(probs, M, depth)
+            for n in range(1, depth + 1):
+                mean = float(sum(z * w for z, w in dist[n].items()))
+                assert mean == pytest.approx(expected_zn(p, M, n), rel=1e-12)
 
     def test_support_bounds(self):
         dist = enumerate_z_distribution((Fraction(1, 2), Fraction(1, 2)), 2, 3)

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorflip.ifs import Interval, IfsSpec, canonical_spec, dim_C, interval
-from cantorflip.symbolic import LabelWord
 
 THIRDS = canonical_spec(2, 1 / 3)
 # same layout, first map reflected: f1(x) = (1-x)/3
@@ -54,10 +53,10 @@ def test_reflected_first_map_swaps_children():
 
 
 def test_interval_accepts_label_word():
-    iv = interval(THIRDS, LabelWord((1, 2), 2))
+    iv = interval(THIRDS, [1, 2])
     assert iv.left == pytest.approx(2 / 9)
-    with pytest.raises(ValueError):
-        interval(THIRDS, LabelWord((1,), 3))  # alphabet mismatch
+    with pytest.raises(ValueError, match=r"label symbol 3 outside 1\.\.2"):
+        interval(THIRDS, (1, 3))  # symbol outside the alphabet
 
 
 def test_empty_word_is_unit_interval():

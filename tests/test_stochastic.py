@@ -15,7 +15,6 @@ import pytest
 
 from cantorflip import (
     IfsSpec,
-    LabelSource,
     OccupancyMap,
     ProbVector,
     canonical_spec,
@@ -25,10 +24,8 @@ from cantorflip import (
     evolve,
     expected_zn,
     interval,
-    occupancy_from_source,
     pi_sequence,
     run_trials,
-    tree_words,
     z_distribution,
     z_n,
 )
@@ -56,39 +53,6 @@ class TestProbVector:
             ProbVector((0.0, 1.0))  # entries must be interior
         with pytest.raises(ValueError):
             ProbVector((0.5, 0.6))
-
-
-class TestLabelSource:
-    def test_periodic_marks_every_mth_edge(self):
-        src = LabelSource.periodic(3)
-        # default offset m-1: indices 2, 5, 8, ... carry the special label
-        labels = [src.label(k) for k in range(9)]
-        assert labels == [1, 1, 2, 1, 1, 2, 1, 1, 2]
-
-    def test_periodic_custom_offset(self):
-        src = LabelSource.periodic(4, offset=0)
-        assert [src.label(k) for k in range(8)] == [2, 1, 1, 1, 2, 1, 1, 1]
-
-    def test_periodic_validation(self):
-        with pytest.raises(ValueError):
-            LabelSource.periodic(1)
-        with pytest.raises(ValueError):
-            LabelSource.periodic(3, offset=3)
-
-    def test_random_is_a_pure_function_of_seed_and_index(self):
-        a = LabelSource.random(42, SYM)
-        b = LabelSource.random(42, SYM)
-        ks = [0, 1, 5, 1000, 10**12]
-        assert [a.label(k) for k in ks] == [b.label(k) for k in ks]
-        # and order of queries does not matter
-        c = LabelSource.random(42, SYM)
-        assert [c.label(k) for k in reversed(ks)] == [b.label(k) for k in reversed(ks)]
-
-    def test_random_frequencies(self):
-        src = LabelSource.random(7, ProbVector((0.2, 0.8)))
-        labels = [src.label(k) for k in range(2000)]
-        frac2 = labels.count(2) / 2000
-        assert abs(frac2 - 0.8) < 0.03
 
 
 class TestEvolve:
@@ -121,28 +85,6 @@ class TestEvolve:
         occ = OccupancyMap(62, 2, {(1,) * 62: 2**62})
         with pytest.raises(OverflowError):
             evolve(occ, SYM, rng=np.random.default_rng(0))
-
-
-class TestOccupancyFromSource:
-    def test_matches_deterministic_words(self):
-        occs = occupancy_from_source(LabelSource.periodic(3), 2, 3)
-        got = {w for w, c in occs[3].entries.items() if c}
-        want = {tuple(2 if s == 1 else 1 for s in w) for w in tree_words(3, 3)}
-        assert got == want
-
-    def test_level_zero_is_root(self):
-        occs = occupancy_from_source(LabelSource.periodic(3), 2, 0)
-        assert len(occs) == 1
-        assert occs[0].entries == {(): 1}
-
-    def test_budget(self):
-        with pytest.raises(BudgetError):
-            occupancy_from_source(LabelSource.periodic(3), 2, 17)
-
-    def test_random_source_agrees_with_masses(self):
-        occs = occupancy_from_source(LabelSource.random(9, SYM), 2, 6)
-        for level, occ in enumerate(occs):
-            assert sum(occ.entries.values()) == 2**level
 
 
 class TestRunTrials:
@@ -263,10 +205,6 @@ BUDGET_MESSAGES = {
         lambda: run_trials(THIRDS_SPEC, SYM, 2, 20, 1 << 15, 0),
         r"trials \* min\(N, M\)\^depth = 34359738368, over the cap of 17179869184 set by _WORK_CAP",
     ),
-    "path walk": (
-        lambda: occupancy_from_source(LabelSource.periodic(3), 2, 17),
-        r"M\^depth = 131072 paths to walk, over the cap of 65536 set by _EXPLICIT_CAP",
-    ),
     # past cap^2 a size prints as base^exp: 2**20000 has more digits than
     # Python converts to a string
     "deep run_trials": (
@@ -279,10 +217,6 @@ BUDGET_MESSAGES = {
         r"M\^depth = 2\^20000 paths a trial, "
         r"over the cap of 9223372036854775807 set by _INT64_MAX",
     ),
-    "deep path walk": (
-        lambda: occupancy_from_source(LabelSource.periodic(3), 2, 20000),
-        r"M\^depth = 2\^20000 paths to walk, over the cap of 65536 set by _EXPLICIT_CAP",
-    ),
 }
 
 
@@ -291,6 +225,21 @@ def test_budget_message_names_size_cap_and_constant(name):
     call, message = BUDGET_MESSAGES[name]
     with pytest.raises(BudgetError, match=message):
         call()
+
+
+TRIAL_ENTRY_POINTS = {
+    "run_trials": lambda M, seed: run_trials(THIRDS_SPEC, SYM, M, 3, 5, seed),
+    "z_distribution": lambda M, seed: z_distribution(SYM, M, 3, 5, seed),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TRIAL_ENTRY_POINTS))
+def test_trial_entry_points_check_arity_and_seed(entry):
+    call = TRIAL_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=r"^arity must be at least 2, got 1$"):
+        call(1, 0)
+    with pytest.raises(ValueError, match=r"^master seed must be nonnegative, got -1$"):
+        call(2, -1)
 
 
 def _dense_block_z(rng, parr, M, depth, size, union):
