@@ -113,14 +113,28 @@ def sandwich_check(p: ProbVector, M: int) -> SandwichCheck:
     return SandwichCheck(status, low, high)
 
 
-def _g(p: ProbVector, M: int, lam: float) -> float:
-    return math.fsum(x**lam * math.log(M * x) for x in p.values)
+def _bisect(below, lo: float, hi: float) -> float:
+    """Bisect [lo, hi], where ``below(lo)`` holds and ``below(hi)`` fails, to adjacent doubles.
+
+    Stops after 200 halvings, or once the midpoint is no longer strictly
+    inside (lo, hi): a further halving could only repeat an endpoint.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def solve_lambda(p: ProbVector, M: int) -> LambdaRoot:
-    """Zero of g(lam) = sum p_i^lam log(M p_i) on [0,1], by bisection.
+    """Zero of g(lam) = sum p_i^lam log(M p_i) on [0,1], bisected to adjacent doubles.
 
-    Requires M within the window, which forces g(0) <= 0 <= g(1). When
+    Requires M within the window, which forces g(0) <= 0 <= g(1). At most
+    200 halvings; the residual |g(lam)| is reported, not bounded. When
     M*p_i = 1 for every i, g vanishes identically and the returned value 1/2
     is a flagged convention (phi is then constant anyway).
     """
@@ -129,21 +143,18 @@ def solve_lambda(p: ProbVector, M: int) -> LambdaRoot:
         raise ValueError(f"M = {M} is {check.status} the applicability window")
     if max(abs(M * x - 1.0) for x in p.values) < 1e-12:
         return LambdaRoot(0.5, True, 0.0)
-    g0 = _g(p, M, 0.0)
-    g1 = _g(p, M, 1.0)
+    terms = [(x, math.log(M * x)) for x in p.values]
+
+    def g(lam: float) -> float:
+        return math.fsum(x**lam * log_mx for x, log_mx in terms)
+
+    g0, g1 = g(0.0), g(1.0)
     if g0 >= 0.0:  # boundary M = entropy threshold, within float noise
         return LambdaRoot(0.0, False, abs(g0))
     if g1 <= 0.0:  # boundary M = geometric threshold
         return LambdaRoot(1.0, False, abs(g1))
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _g(p, M, mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    return LambdaRoot(lam, False, abs(_g(p, M, lam)))
+    lam = _bisect(lambda x: g(x) <= 0.0, 0.0, 1.0)
+    return LambdaRoot(lam, False, abs(g(lam)))
 
 
 def phi(p: ProbVector, M: int, x: float) -> float:

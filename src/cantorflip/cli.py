@@ -42,7 +42,7 @@ from .detfrac import (
     sft_words,
     tree_words,
 )
-from .errors import BudgetError
+from .errors import BudgetError, _budget_error
 from .exact import expected_zn, multinomial_bound, pi_sequence
 from .ifs import IfsSpec, canonical_spec
 from .stochastic import (
@@ -55,6 +55,7 @@ from .stochastic import (
 )
 
 TABLE1_PERIODS = (2, 3, 4, 6, 7, 14, 15, 30)
+_GRID_CAP = 100_000  # figure1 grid points; each solves for lambda
 
 
 def _fmt(x) -> str:
@@ -170,6 +171,8 @@ def cmd_table1(params: dict) -> int:
 
 def cmd_figure1(params: dict) -> int:
     grid, r = params["grid"], params["r"]
+    if grid > _GRID_CAP:
+        raise _budget_error(f"grid = {grid} points", _GRID_CAP, "_GRID_CAP")
     rows = []
     for k in range(1, grid + 1):
         p = k / (grid + 1.0)

@@ -19,6 +19,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
+from .bounds import _bisect
 from .errors import _budget_error
 
 Word01 = tuple[int, ...]
@@ -59,20 +60,18 @@ class DeterministicSpec:
 
 
 def rho(L: int) -> float:
-    """Positive root of x^(L+1) = x^L + 1, bisected on (1,2) to residual < 1e-13."""
+    """Positive root of x^(L+1) = x^L + 1, bisected on (1,2) to adjacent doubles.
+
+    At most 200 halvings. The residual must lie below 1e-13 * x^(L+1), the
+    scale at which the terms it cancels round.
+    """
     if L < 1:
         raise ValueError(f"L must be at least 1, got {L}")
-    lo, hi = 1.0, 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid ** (L + 1) - mid**L - 1.0 < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    residual = abs(x ** (L + 1) - x**L - 1.0)
-    if residual >= 1e-13:
-        raise RuntimeError(f"root residual {residual} not below 1e-13")
+    x = _bisect(lambda y: y ** (L + 1) - y**L - 1.0 < 0.0, 1.0, 2.0)
+    top = x ** (L + 1)
+    residual = abs(top - x**L - 1.0)
+    if residual >= 1e-13 * top:
+        raise RuntimeError(f"root residual {residual} not below 1e-13 * x^(L+1) = {1e-13 * top}")
     return x
 
 

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bounds import _bisect
 from .errors import _budget_error, _checked_power
 from .ifs import label_symbols
 from .stochastic import ProbVector
@@ -29,6 +30,7 @@ from .stochastic import ProbVector
 _ENUM_CAP = 1 << 24  # labelings a brute-force enumeration may visit
 _WORD_CAP = 1 << 20  # words a full-level sum may hold
 _COMPOSITION_CAP = 500_000
+_PI_CAP = 1_000_000  # pi_sequence steps, each one float kept
 _MASK_BITS = 63  # word bitmasks live in one int64
 _CHUNK = 1 << 18
 
@@ -207,6 +209,8 @@ def pi_sequence(N: int, M: int, n_max: int) -> PiSequence:
         raise ValueError("N and M must both be at least 2")
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    if n_max > _PI_CAP:
+        raise _budget_error(f"n_max = {n_max} steps", _PI_CAP, "_PI_CAP")
     values = [1.0]
     x = 1.0
     for _ in range(n_max):
@@ -219,7 +223,8 @@ def gamma_fixed_point(N: int, M: int) -> float:
     """Attracting fixed point of x = 1 - (1 - x/N)^M on (0,1] when M > N.
 
     For M <= N the recursion drives pi_n to 0 and 0.0 is returned. Otherwise
-    the nonzero root is bracketed and bisected to a residual below 1e-12.
+    the nonzero root is bracketed, then bisected to adjacent doubles (at most
+    200 halvings) and its residual checked below 1e-12.
     """
     if N < 2 or M < 2:
         raise ValueError("N and M must both be at least 2")
@@ -236,14 +241,7 @@ def gamma_fixed_point(N: int, M: int) -> float:
         halvings += 1
         if halvings > 200:
             raise RuntimeError("failed to bracket the nonzero fixed point")
-    hi = 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
+    x = _bisect(lambda y: f(y) > 0.0, lo, 1.0)
     residual = abs(f(x))
     if residual >= 1e-12:
         raise RuntimeError(f"fixed-point residual {residual} not below 1e-12")

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,15 +10,19 @@ from cantorflip import (
     ProbVector,
     classify,
     entropy_threshold,
+    gamma_fixed_point,
     geometric_threshold,
     lower_bound,
     phi,
+    rho,
     sandwich_check,
     solve_lambda,
     upper_bound,
     xi,
 )
-from cantorflip.bounds import entropy
+from cantorflip import bounds
+from cantorflip.bounds import LambdaRoot, _bisect, entropy
+from cantorflip.cli import TABLE1_PERIODS
 
 LOG3 = math.log(3.0)
 THIRDS = ProbVector((1 / 3, 2 / 3))
@@ -197,3 +202,136 @@ class TestClassify:
     def test_exact_value_sits_between_bounds(self):
         rep = classify(ProbVector((0.2, 0.2, 0.6)), 2, 1 / 3)
         assert rep.lower - 1e-12 <= rep.exact <= rep.upper + 1e-12
+
+
+# The three 200-halving loops that bounds._bisect replaced, kept verbatim
+# (each with the bracket set-up before it) as the reference its early stop
+# must reproduce bit for bit.
+def _old_g(p: ProbVector, M: int, lam: float) -> float:
+    return math.fsum(x**lam * math.log(M * x) for x in p.values)
+
+
+def _old_solve_lambda(p: ProbVector, M: int) -> LambdaRoot:
+    check = sandwich_check(p, M)
+    if check.status != "within":
+        raise ValueError(f"M = {M} is {check.status} the applicability window")
+    if max(abs(M * x - 1.0) for x in p.values) < 1e-12:
+        return LambdaRoot(0.5, True, 0.0)
+    g0 = _old_g(p, M, 0.0)
+    g1 = _old_g(p, M, 1.0)
+    if g0 >= 0.0:  # boundary M = entropy threshold, within float noise
+        return LambdaRoot(0.0, False, abs(g0))
+    if g1 <= 0.0:  # boundary M = geometric threshold
+        return LambdaRoot(1.0, False, abs(g1))
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _old_g(p, M, mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    lam = 0.5 * (lo + hi)
+    return LambdaRoot(lam, False, abs(_old_g(p, M, lam)))
+
+
+def _old_rho(L: int) -> float:
+    lo, hi = 1.0, 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid ** (L + 1) - mid**L - 1.0 < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _old_gamma_fixed_point(N: int, M: int) -> float:
+    def f(x: float) -> float:
+        return -math.expm1(M * math.log1p(-x / N)) - x
+
+    lo = 0.5
+    while f(lo) <= 0.0:
+        lo /= 2
+    hi = 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _seeded_window_pairs():
+    """In-window (p, M) pairs for N = 2..6 and M = 2..12, p drawn at a fixed seed."""
+    rng = np.random.default_rng(20231)
+    pairs = []
+    for N in range(2, 7):
+        for _ in range(40):
+            p = ProbVector(tuple(float(v) for v in rng.dirichlet(np.ones(N))))
+            pairs += [(p, M) for M in range(2, 13) if sandwich_check(p, M).status == "within"]
+    return pairs
+
+
+FIGURE1_GRID = [ProbVector((k / 1000.0, 1.0 - k / 1000.0)) for k in range(1, 1000)]  # figure1 --grid 999
+TABLE1_ROWS = [ProbVector((1.0 / m, 1.0 - 1.0 / m)) for m in TABLE1_PERIODS]
+
+
+class TestBisect:
+    def test_stops_at_adjacent_doubles(self):
+        calls = []
+
+        def below(x):
+            calls.append(x)
+            return x * x < 2.0
+
+        assert abs(_bisect(below, 1.0, 2.0) - math.sqrt(2.0)) <= math.ulp(1.0)
+        assert len(calls) == 52  # doubles in [1, 2) are 2^-52 apart
+
+    def test_at_most_200_halvings(self):
+        # doubles are dense towards 0, so this bracket never closes
+        calls = []
+        assert _bisect(lambda x: calls.append(x) or x <= 0.0, 0.0, 1.0) == 2.0**-201
+        assert len(calls) == 200
+
+    def test_solve_lambda_matches_200_halvings_on_seeded_pairs(self):
+        pairs = _seeded_window_pairs()
+        assert len(pairs) > 400
+        for p, M in pairs:
+            assert solve_lambda(p, M) == _old_solve_lambda(p, M), (p, M)
+
+    @pytest.mark.parametrize("points", [FIGURE1_GRID, TABLE1_ROWS], ids=["figure1", "table1"])
+    def test_solve_lambda_matches_200_halvings_on_cli_points(self, points):
+        within = [p for p in points if sandwich_check(p, 2).status == "within"]
+        assert within
+        for p in within:
+            assert solve_lambda(p, 2) == _old_solve_lambda(p, 2), p
+
+    def test_rho_matches_200_halvings(self):
+        for L in range(1, 426):
+            assert rho(L) == _old_rho(L), L
+
+    def test_gamma_matches_200_halvings(self):
+        for N in range(2, 13):
+            for M in range(N + 1, 65):
+                assert gamma_fixed_point(N, M) == _old_gamma_fixed_point(N, M), (N, M)
+
+    def test_at_most_60_g_evaluations_per_figure1_point(self, monkeypatch):
+        counts = []
+
+        def counting(below, lo, hi):
+            counts.append(0)
+
+            def counted(x):
+                counts[-1] += 1
+                return below(x)
+
+            return _bisect(counted, lo, hi)
+
+        monkeypatch.setattr(bounds, "_bisect", counting)
+        for p in FIGURE1_GRID:
+            solve_lambda(p, 2)
+        # p = 1/2 is the flagged degenerate point, which needs no bisection
+        assert len(counts) == 998
+        # g(0), g(1) and the residual are the three evaluations outside _bisect
+        assert max(counts) + 3 <= 60

@@ -199,6 +199,14 @@ class TestDeterministic:
         assert doc["word_count"] == 5
         assert doc["checks"] == {"tree_equals_graph": True, "tree_within_sft": True}
 
+    def test_m_past_level_426(self, capsys):
+        # L = 426, the first level where rho's old absolute residual bound raised
+        code, out, err = run_cli(capsys, "deterministic", "--m", str(2**427))
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["L"] == 426
+        assert doc["rho"] == pytest.approx(1.01070684641935, abs=1e-14)
+
     def test_csv_table(self, capsys):
         code, out, _ = run_cli(capsys, "deterministic", "--m", "3", "--format", "csv")
         assert code == 0
@@ -455,6 +463,33 @@ class TestFailures:
         assert levels == list(range(1, len(levels) + 1))
         assert len(levels) >= 4  # levels 1-4 hold at most 16 words
         assert f"level {len(levels) + 1} energy needs" in err
+
+
+BUDGET_MESSAGES = {
+    "figure1 grid": (
+        ["figure1", "--grid", str(cli._GRID_CAP + 1)],
+        "grid = 100001 points, over the cap of 100000 set by _GRID_CAP",
+    ),
+    "pi steps": (
+        ["exact", "--table", "pi", "--N", "2", "--M", "3", "--n-max", "1000001"],
+        "n_max = 1000001 steps, over the cap of 1000000 set by _PI_CAP",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_MESSAGES))
+def test_budget_exit_3_before_any_work(capsys, monkeypatch, name):
+    argv, message = BUDGET_MESSAGES[name]
+
+    def refuse(*args):
+        raise AssertionError("work started before the budget check")
+
+    for attr in ("lower_bound", "upper_bound", "_fmt"):
+        monkeypatch.setattr(cli, attr, refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"budget exceeded: {message}\n"
 
 
 def test_entry_point_subprocess():

@@ -67,6 +67,14 @@ class TestRho:
             x = rho(L)
             assert abs(x ** (L + 1) - x**L - 1) < 1e-12
 
+    def test_returns_for_every_l_to_1099(self):
+        # an absolute residual bound of 1e-13 raised from L = 426 on: the
+        # residual is rounding in terms of size x^(L+1), and is checked relative to it
+        for L in range(1, 1100):
+            x = rho(L)
+            assert 1.0 < x < 2.0
+            assert abs(x ** (L + 1) - x**L - 1.0) < 1e-13 * x ** (L + 1), L
+
     def test_decreasing_in_l(self):
         values = [rho(L) for L in range(1, 10)]
         assert all(a > b for a, b in zip(values, values[1:]))

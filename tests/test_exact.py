@@ -281,6 +281,10 @@ BUDGET_MESSAGES = {
         lambda: expected_zn(SYM, 2, 21),
         r"^N\^n = 2097152 words to sum, over the cap of 1048576 set by _WORD_CAP$",
     ),
+    "pi steps": (
+        lambda: pi_sequence(2, 3, exact._PI_CAP + 1),
+        r"^n_max = 1000001 steps, over the cap of 1000000 set by _PI_CAP$",
+    ),
     "compositions": (
         lambda: multinomial_bound(ProbVector.uniform(10), 2, 40),
         r"^2054455634 compositions to sum, over the cap of 500000 set by _COMPOSITION_CAP$",
