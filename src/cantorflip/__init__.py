@@ -27,12 +27,10 @@ from .bounds import (
 )
 from .detfrac import (
     DeterministicSpec,
-    GrowthEstimate,
     dim_Fm,
     dimension_rows,
     dump_words,
     graph_words,
-    growth_rate,
     level_of,
     rho,
     sft_count,

@@ -74,6 +74,11 @@ def _check_ratio(N: int, r: float) -> None:
         raise ValueError(f"ratio {r} outside (0, 1/{N}]")
 
 
+def _check_arity(M: int) -> None:
+    if M < 2:
+        raise ValueError(f"arity must be at least 2, got {M}")
+
+
 def entropy(p: ProbVector) -> float:
     """Shannon entropy -sum p_i log p_i in nats."""
     return -math.fsum(x * math.log(x) for x in p.values)
@@ -91,17 +96,19 @@ def geometric_threshold(p: ProbVector) -> float:
 
 def lower_bound(p: ProbVector, M: int, r: float) -> float:
     """min{log M, -log sum p_i^2} / log(1/r)."""
-    if M < 2:
-        raise ValueError(f"arity must be at least 2, got {M}")
+    _check_arity(M)
     _check_ratio(p.N, r)
+    return _lower(p, M, math.log(1.0 / r))
+
+
+def _lower(p: ProbVector, M: int, log_inv_r: float) -> float:
     collision = math.fsum(x * x for x in p.values)
-    return min(math.log(M), -math.log(collision)) / math.log(1.0 / r)
+    return min(math.log(M), -math.log(collision)) / log_inv_r
 
 
 def sandwich_check(p: ProbVector, M: int) -> SandwichCheck:
     """Compare M against both thresholds; boundary cases count as within."""
-    if M < 2:
-        raise ValueError(f"arity must be at least 2, got {M}")
+    _check_arity(M)
     low = entropy_threshold(p)
     high = geometric_threshold(p)
     if M < low - _EDGE_TOL:
@@ -141,6 +148,11 @@ def solve_lambda(p: ProbVector, M: int) -> LambdaRoot:
     check = sandwich_check(p, M)
     if check.status != "within":
         raise ValueError(f"M = {M} is {check.status} the applicability window")
+    return _lambda_root(p, M)
+
+
+def _lambda_root(p: ProbVector, M: int) -> LambdaRoot:
+    """solve_lambda for an M already checked to lie within the window."""
     if max(abs(M * x - 1.0) for x in p.values) < 1e-12:
         return LambdaRoot(0.5, True, 0.0)
     terms = [(x, math.log(M * x)) for x in p.values]
@@ -159,19 +171,19 @@ def solve_lambda(p: ProbVector, M: int) -> LambdaRoot:
 
 def phi(p: ProbVector, M: int, x: float) -> float:
     """x log M + log sum p_i^x."""
-    if M < 2:
-        raise ValueError(f"arity must be at least 2, got {M}")
+    _check_arity(M)
+    return _phi(p, M, x)
+
+
+def _phi(p: ProbVector, M: int, x: float) -> float:
     return x * math.log(M) + math.log(math.fsum(v**x for v in p.values))
 
 
 def upper_bound(p: ProbVector, M: int, r: float) -> float:
     """phi(lambda)/log(1/r) inside the window, else the trivial covering bound."""
     _check_ratio(p.N, r)
-    if M < 2:
-        raise ValueError(f"arity must be at least 2, got {M}")
-    if sandwich_check(p, M).status == "within":
-        lam = solve_lambda(p, M).value
-        return phi(p, M, lam) / math.log(1.0 / r)
+    if sandwich_check(p, M).status == "within":  # sandwich_check checks M
+        return _phi(p, M, _lambda_root(p, M).value) / math.log(1.0 / r)
     return min(math.log(p.N), math.log(M)) / math.log(1.0 / r)
 
 
@@ -183,8 +195,7 @@ def xi(p: float, M: int) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie inside (0,1), got {p}")
-    if M < 2:
-        raise ValueError(f"arity must be at least 2, got {M}")
+    _check_arity(M)
     if p * (1.0 - p) > 1.0 / M**2 + 1e-12:
         raise ValueError(f"condition p(1-p) <= 1/M^2 fails for p={p}, M={M}")
     denominator = math.log(p) - math.log(1.0 - p)
@@ -204,19 +215,17 @@ def classify(p: ProbVector, M: int, r: float) -> BoundsReport:
     """
     N = p.N
     _check_ratio(N, r)
-    if M < 2:
-        raise ValueError(f"arity must be at least 2, got {M}")
     log_inv_r = math.log(1.0 / r)
-    check = sandwich_check(p, M)
-    low = lower_bound(p, M, r)
+    check = sandwich_check(p, M)  # checks M
+    low = _lower(p, M, log_inv_r)
     trivial = min(math.log(N), math.log(M)) / log_inv_r
     lam: float | None = None
     lam_degenerate = False
     if check.status == "within":
-        root = solve_lambda(p, M)
+        root = _lambda_root(p, M)
         lam = root.value
         lam_degenerate = root.degenerate
-        up = phi(p, M, lam) / log_inv_r
+        up = _phi(p, M, lam) / log_inv_r
     else:
         up = trivial
 

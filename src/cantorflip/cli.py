@@ -19,6 +19,7 @@ parallelism.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -77,11 +78,12 @@ def _json_doc(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _csv(header: str, rows) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    return "\n".join(lines) + "\n"
+def _write_csv(header: str, rows, out: str | None) -> None:
+    """Write the header, then each row as it is formed, to ``out`` or stdout."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join([v if isinstance(v, str) else _fmt(v) for v in row]) + "\n")
 
 
 def _config_hash(resolved: dict) -> str:
@@ -145,7 +147,7 @@ def cmd_bounds(params: dict) -> int:
             report.exact_reason or "",
         ]
         header = "p,M,r,lower,upper,trivial_upper,sandwich,lambda,lambda_degenerate,exact,exact_reason"
-        _emit(_csv(header, [row]), params.get("out"))
+        _write_csv(header, [row], params.get("out"))
     else:
         _emit(_json_doc(report.to_dict()), params.get("out"))
     return 0
@@ -165,7 +167,7 @@ def cmd_table1(params: dict) -> int:
         ]
         _emit(_json_doc(doc), params.get("out"))
     else:
-        _emit(_csv("m,p,lower,dim_Fm,upper", rows), params.get("out"))
+        _write_csv("m,p,lower,dim_Fm,upper", rows, params.get("out"))
     return 0
 
 
@@ -182,7 +184,7 @@ def cmd_figure1(params: dict) -> int:
         doc = [{"p": p, "lower": lo, "upper": up} for p, lo, up in rows]
         _emit(_json_doc(doc), params.get("out"))
     else:
-        _emit(_csv("p,lower,upper", rows), params.get("out"))
+        _write_csv("p,lower,upper", rows, params.get("out"))
     return 0
 
 
@@ -231,7 +233,7 @@ def cmd_simulate(params: dict) -> int:
             (k, stats.z_mean[k], stats.z_var[k], stats.z_min[k], stats.z_max[k])
             for k in range(depth + 1)
         ]
-        _emit(_csv("level,z_mean,z_var,z_min,z_max", rows), out)
+        _write_csv("level,z_mean,z_var,z_min,z_max", rows, out)
         if out:
             Path(out + ".summary.json").write_text(_json_doc(summary))
         else:
@@ -245,11 +247,10 @@ def cmd_exact(params: dict) -> int:
     fmt, out = params["format"], params.get("out")
     if params["table"] == "pi":
         seq = pi_sequence(params["N"], params["M"], params.get("n_max", 30))
-        rows = [(n, seq[n]) for n in range(len(seq))]
         if fmt == "json":
-            _emit(_json_doc([{"n": n, "pi": v} for n, v in rows]), out)
+            _emit(_json_doc([{"n": n, "pi": v} for n, v in enumerate(seq.values)]), out)
         else:
-            _emit(_csv("n,pi", rows), out)
+            _write_csv("n,pi", enumerate(seq.values), out)
     else:
         p, M = _prob_vector(params, params.get("N")), params["M"]
         rows = [
@@ -261,7 +262,7 @@ def cmd_exact(params: dict) -> int:
                 _json_doc([{"n": n, "value": v, "bound": b} for n, v, b in rows]), out
             )
         else:
-            _emit(_csv("n,value,bound", rows), out)
+            _write_csv("n,value,bound", rows, out)
     return 0
 
 
@@ -269,7 +270,7 @@ def cmd_deterministic(params: dict) -> int:
     m, r, n = params["m"], params["r"], params.get("n")
     spec = DeterministicSpec(m, params.get("offset"))
     if params["format"] == "csv":
-        _emit(_csv("m,L,rho_L,dim_Fm", dimension_rows([m], r)), params.get("out"))
+        _write_csv("m,L,rho_L,dim_Fm", dimension_rows([m], r), params.get("out"))
         return 0
     report: dict = {
         "m": m,
@@ -327,7 +328,7 @@ def cmd_energy(params: dict) -> int:
         }
         _emit(_json_doc(doc), params.get("out"))
     else:
-        _emit(_csv("level,energy,scale", rows), params.get("out"))
+        _write_csv("level,energy,scale", rows, params.get("out"))
     if stopped is not None:
         raise stopped
     return 0

@@ -16,7 +16,6 @@ tests) and the subshift forbidding 1 0^k 1 for k < L (sft_words, sft_count).
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 
 from .bounds import _bisect
@@ -200,29 +199,6 @@ def sft_words(L: int, n: int) -> set[Word01]:
 
     grow((), L)
     return out
-
-
-@dataclass(frozen=True)
-class GrowthEstimate:
-    last_ratio: float
-    regression: float  # exp of the log-linear slope
-
-
-def growth_rate(word_counts) -> GrowthEstimate:
-    """Geometric growth of consecutive word counts, two ways.
-
-    Needs at least 5 consecutive positive counts; reports the final
-    consecutive ratio and the exponential of the least-squares slope of the
-    log counts.
-    """
-    counts = [float(c) for c in word_counts]
-    if len(counts) < 5:
-        raise ValueError("need at least 5 consecutive counts")
-    if any(c <= 0.0 for c in counts):
-        raise ValueError("counts must be positive")
-    logs = [math.log(c) for c in counts]
-    slope = statistics.linear_regression(range(len(logs)), logs).slope
-    return GrowthEstimate(counts[-1] / counts[-2], math.exp(slope))
 
 
 def dimension_rows(ms, r: float) -> list[tuple[int, int | None, float | None, float]]:

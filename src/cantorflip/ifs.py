@@ -14,30 +14,36 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 _TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed subinterval of [0,1], stored as left endpoint plus length."""
+    """Closed subinterval of [0,1], stored as left endpoint plus length.
 
-    left: float
-    length: float
+    The fields are floats for one interval, or float arrays of one shape for
+    a stack of intervals; the checks then hold entry by entry.
+    """
+
+    left: float | np.ndarray
+    length: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.length > 0:
+        if not np.all(self.length > 0):
             raise ValueError(f"interval length must be positive, got {self.length}")
-        if self.left < -_TOL or self.left + self.length > 1 + _TOL:
+        if np.any(self.left < -_TOL) or np.any(self.left + self.length > 1 + _TOL):
             raise ValueError(
                 f"interval [{self.left}, {self.left + self.length}] leaves [0,1]"
             )
 
     @property
-    def right(self) -> float:
+    def right(self) -> float | np.ndarray:
         return self.left + self.length
 
     @property
-    def midpoint(self) -> float:
+    def midpoint(self) -> float | np.ndarray:
         return self.left + self.length / 2.0
 
 
@@ -138,23 +144,44 @@ def label_symbols(w: Sequence[int], N: int) -> tuple[int, ...]:
     return symbols
 
 
-def interval(spec: IfsSpec, w: Sequence[int]) -> Interval:
+def interval(spec: IfsSpec, w: Sequence[int] | np.ndarray) -> Interval:
     """Basic interval addressed by ``w``: image of [0,1] under the composition.
 
-    The affine composition is accumulated left to right, so the rounding
-    error of an endpoint grows only linearly with the depth. The length is
-    r^len(w) up to that rounding.
+    ``w`` is one word, giving an Interval of floats, or a 2-D integer array
+    whose rows are words of one length, giving an Interval of arrays with
+    one entry per row. The affine composition x -> a*x + c is accumulated
+    left to right, one column of the stack at a time, so the rounding error
+    of an endpoint grows only linearly with the depth. Each step is
+    c + a*b and a*r, or for a reflected map c + a*(b + r) and a*(-r), the
+    same float operations for every row, so a row of a stack is bit for bit
+    the interval of that word alone. The length is r^len(w) up to that
+    rounding.
     """
-    symbols = label_symbols(w, spec.N)
-    a, c = 1.0, 0.0  # current composition x -> a*x + c
-    for s in symbols:
-        b = spec.translations[s - 1]
-        if spec.orientations[s - 1] == 1:
-            a, c = a * spec.r, c + a * b
-        else:
-            a, c = -a * spec.r, c + a * (b + spec.r)
-    left = c + a if a < 0 else c
-    return Interval(left, abs(a))
+    words = np.asarray(w)
+    if words.ndim not in (1, 2):
+        raise ValueError(f"expected a word or a 2-D stack of words, got {words.ndim} dimensions")
+    if words.dtype.kind not in "iu":
+        words = words.astype(np.int64)
+    stack = words if words.ndim == 2 else words[None, :]
+    if stack.size and not 1 <= stack.min() <= stack.max() <= spec.N:
+        flat = stack.ravel()
+        s = flat[(flat < 1) | (flat > spec.N)][0]
+        raise ValueError(f"label symbol {s} outside 1..{spec.N}")
+    # per-symbol step tables, indexed by the symbol itself (entry 0 is unused)
+    r = spec.r
+    maps = list(zip(spec.translations, spec.orientations))
+    shift = np.array([0.0] + [b if o == 1 else b + r for b, o in maps])
+    scale = np.array([0.0] + [r if o == 1 else -r for _, o in maps])
+    a = np.ones(len(stack))
+    c = np.zeros(len(stack))
+    for symbols in stack.T:
+        c += a * shift[symbols]
+        a *= scale[symbols]
+    left = np.where(a < 0, c + a, c)
+    length = np.abs(a)
+    if words.ndim == 1:
+        return Interval(float(left[0]), float(length[0]))
+    return Interval(left, length)
 
 
 def dim_C(spec: IfsSpec) -> float:

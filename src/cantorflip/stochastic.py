@@ -37,6 +37,7 @@ after the column's other table draws, where numpy redraws it at once.)
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -549,13 +550,17 @@ def energy_estimate(occ: OccupancyMap, spec: IfsSpec, t: float) -> float:
     at the level's scale r^n (the diagonal is excluded entirely), so it is a
     finite, diagnostic-only reading of the energy, not a convergent value.
 
-    The summand is symmetric in the pair, so only the upper triangle j > i
-    is computed and doubled. Rows go in tiles of ``_PAIR_TILE``: each tile's
-    distances to columns j >= i0 are formed in place in one preallocated
-    tile x Z buffer (entries j <= i set to inf, whose power is 0) and reduced
-    to w_i . (D w_j) by two vector products, so the temporaries take
-    O(tile * Z) memory. Raises BudgetError when the Z^2 pairs exceed
-    ``_PAIR_CAP``.
+    The midpoints come from one ``interval`` call on the sorted words,
+    stacked as an int32 Z x level array. The summand is symmetric in the
+    pair, so only the upper triangle j > i is computed and doubled. Rows go
+    in tiles of ``_PAIR_TILE``: each tile's differences mid_j - mid_i to
+    columns j >= i0 are formed in place in one preallocated tile x Z buffer
+    (entries j <= i set to inf, whose power is 0) and reduced to
+    w_i . (D w_j) by two vector products, so the temporaries take
+    O(tile * Z) memory. The differences go through ``abs`` only when the
+    midpoints are not strictly ascending: with orientation-preserving maps
+    they ascend with the words, and for y > x, y - x is the same double as
+    |x - y|. Raises BudgetError when the Z^2 pairs exceed ``_PAIR_CAP``.
     """
     if t <= 0:
         raise ValueError(f"energy exponent must be positive, got {t}")
@@ -569,8 +574,10 @@ def energy_estimate(occ: OccupancyMap, spec: IfsSpec, t: float) -> float:
     if Z < 2:
         return 0.0
     denominator = float(occ.M**occ.level)
-    weights = np.asarray([occ.entries[w] / denominator for w in words])
-    mids = np.asarray([interval(spec, w).midpoint for w in words])
+    weights = np.fromiter((occ.entries[w] / denominator for w in words), float, Z)
+    stack = np.fromiter(itertools.chain.from_iterable(words), np.int32, Z * occ.level)
+    mids = interval(spec, stack.reshape(Z, occ.level)).midpoint
+    ascending = bool(np.all(mids[1:] > mids[:-1]))
     buf = np.empty((min(_PAIR_TILE, Z), Z))
     below = np.tri(buf.shape[0], dtype=bool)  # j <= i inside a tile's leading square
     total = 0.0
@@ -578,8 +585,9 @@ def energy_estimate(occ: OccupancyMap, spec: IfsSpec, t: float) -> float:
         i1 = min(i0 + _PAIR_TILE, Z)
         n = i1 - i0
         d = buf[:n, : Z - i0]
-        np.subtract(mids[i0:i1, None], mids[None, i0:], out=d)
-        np.abs(d, out=d)
+        np.subtract(mids[None, i0:], mids[i0:i1, None], out=d)
+        if not ascending:
+            np.abs(d, out=d)
         d[:, :n][below[:n, :n]] = np.inf
         np.power(d, -t, out=d)
         # einsum, not a BLAS gemv: as fast here, without BLAS worker threads

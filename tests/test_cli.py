@@ -366,6 +366,23 @@ def test_readme_cli_line_runs(capsys, tmp_path, argv):
     assert (tmp_path / "out").read_text()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--table", "pi", "--N", "2", "--M", "3", "--n-max", "50"],
+        ["exact", "--table", "zn", "--p", "0.3,0.7", "--M", "2", "--n-max", "6"],
+        ["table1"],
+        ["simulate", "--M", "2", "--p", "0.5,0.5", "--depth", "5", "--trials", "3", "--format", "csv"],
+    ],
+    ids=" ".join,
+)
+def test_csv_to_out_file_matches_stdout(capsys, tmp_path, argv):
+    _, stdout, _ = run_cli(capsys, *argv)
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "out.csv"))
+    assert code == 0
+    assert (tmp_path / "out.csv").read_bytes() == stdout.encode()
+
+
 class TestFigure1:
     def test_grid(self, capsys):
         code, out, _ = run_cli(capsys, "figure1", "--grid", "9")
@@ -401,6 +418,49 @@ class TestEnergy:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "7075e092fa39152ce4f2072c0d8f7a607f6accc0ef18c8912f52070af08c6bfa"
         )
+
+
+# sha256 of energy stdout at the benchmark's N = 4 shape, depth 12, pinned
+# from the per-word midpoint loop that the stacked interval call replaced
+ENERGY_DIGESTS = {
+    (1, "csv"): "86c78d8e227023095cc081f8b9c6e1c1334e56528521b2455f37622821314063",
+    (1, "json"): "6d95509d570229bb61a35afa2fa6b9fa8e16b11d64655f1d85d0c4f9ce9118fd",
+    (2, "csv"): "1a3f44f3f3717eb2c02a0790b445824474d4aadf0d23cd33402b99b2c9765797",
+    (2, "json"): "83d9cbb493a2931c531e8699df851541af8a7fb403038a1ddfe3743e2b106ccb",
+    (3, "csv"): "5298659b5ab2ff4911aa783143cd96355d7151dfdc05602cc38aaa9beb4a1aac",
+    (3, "json"): "65bac63c7f975ba0b1698669b2399b37c7bc017f2e367b206cf7b59c52d723a4",
+}
+# the same for a config with reflected first and last maps (N = M = 3, depth
+# 7); r and the translations are not dyadic, so a reordered step rounds apart
+REFLECTED_ENERGY = {
+    "mode": "energy",
+    "ifs": {"N": 3, "r": 0.22, "translations": [0.03, 0.41, 0.77], "orientations": [-1, 1, -1]},
+    "M": 3, "p": [0.2, 0.3, 0.5], "depth": 7, "master_seed": 5,
+}
+REFLECTED_ENERGY_DIGESTS = {
+    "csv": "52ea0da951ff3af2b4bd348f1824ae2b17019883570a2d106361c6929d741928",
+    "json": "1a659a06a2ffb6e85cea31bc4f0bd4abe0af9fe3a1b44f9c48b593572e0ae555",
+}
+
+
+class TestEnergyDigests:
+    @pytest.mark.parametrize("seed,fmt", sorted(ENERGY_DIGESTS))
+    def test_benchmark_shape(self, capsys, seed, fmt):
+        code, out, _ = run_cli(
+            capsys,
+            "energy", "--N", "4", "--M", "2", "--p", "0.25,0.25,0.25,0.25", "--r", "0.2",
+            "--depth", "12", "--seed", str(seed), "--format", fmt,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ENERGY_DIGESTS[seed, fmt]
+
+    @pytest.mark.parametrize("fmt", sorted(REFLECTED_ENERGY_DIGESTS))
+    def test_reflected_config(self, capsys, tmp_path, fmt):
+        cfg = tmp_path / "energy.json"
+        cfg.write_text(json.dumps(REFLECTED_ENERGY))
+        code, out, _ = run_cli(capsys, "energy", "--config", str(cfg), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == REFLECTED_ENERGY_DIGESTS[fmt]
 
 
 class TestFailures:

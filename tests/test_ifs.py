@@ -7,10 +7,11 @@ structural invariants over random systems.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorflip.ifs import Interval, IfsSpec, canonical_spec, dim_C, interval
+from cantorflip.ifs import Interval, IfsSpec, canonical_spec, dim_C, interval, label_symbols
 
 THIRDS = canonical_spec(2, 1 / 3)
 # same layout, first map reflected: f1(x) = (1-x)/3
@@ -130,3 +131,81 @@ def test_siblings_disjoint_and_ordered(draw, depth):
     children.sort(key=lambda iv: iv.left)
     for a, b in zip(children, children[1:]):
         assert a.right <= b.left + 1e-12
+
+
+def _scalar_interval(spec, w):
+    """The one-word loop ``interval`` ran before it took stacks, verbatim."""
+    symbols = label_symbols(w, spec.N)
+    a, c = 1.0, 0.0  # current composition x -> a*x + c
+    for s in symbols:
+        b = spec.translations[s - 1]
+        if spec.orientations[s - 1] == 1:
+            a, c = a * spec.r, c + a * b
+        else:
+            a, c = -a * spec.r, c + a * (b + spec.r)
+    left = c + a if a < 0 else c
+    return Interval(left, abs(a))
+
+
+def _bits(iv):
+    # float.hex tells every double apart, -0.0 from 0.0 included
+    return float(iv.left).hex(), float(iv.length).hex()
+
+
+STACK_SPECS = {
+    "thirds": THIRDS,
+    "thirds-flip": THIRDS_FLIP,
+    "uneven": IfsSpec(3, 0.2, (0.05, 0.3, 0.8), (1, 1, 1)),
+    "tiling": canonical_spec(4, 0.25),
+    "mixed": IfsSpec(3, 0.22, (0.03, 0.41, 0.77), (-1, 1, -1)),
+}
+
+
+class TestStackedInterval:
+    @pytest.mark.parametrize("name", sorted(STACK_SPECS))
+    def test_rows_match_scalar_loop_bitwise(self, name):
+        spec = STACK_SPECS[name]
+        rng = np.random.default_rng(sorted(STACK_SPECS).index(name))
+        for length in range(21):
+            words = rng.integers(1, spec.N + 1, size=(40, length), dtype=np.int32)
+            stack = interval(spec, words)
+            assert stack.left.shape == stack.length.shape == (40,)
+            for row, w in enumerate(words):
+                one = interval(spec, tuple(int(s) for s in w))
+                assert type(one.left) is float and type(one.length) is float
+                want = _bits(_scalar_interval(spec, tuple(int(s) for s in w)))
+                assert _bits(one) == want
+                assert _bits(Interval(stack.left[row], stack.length[row])) == want
+
+    def test_midpoints_match_per_word(self):
+        spec = STACK_SPECS["mixed"]
+        words = np.random.default_rng(5).integers(1, 4, size=(64, 12))
+        mids = interval(spec, words).midpoint
+        assert [m.hex() for m in mids.tolist()] == [
+            _scalar_interval(spec, tuple(w)).midpoint.hex() for w in words.tolist()
+        ]
+
+    def test_symbol_outside_alphabet_in_a_stack(self):
+        words = np.ones((6, 5), dtype=np.int32)
+        words[3, 2] = 4
+        with pytest.raises(ValueError, match=r"label symbol 4 outside 1\.\.3"):
+            interval(STACK_SPECS["uneven"], words)
+        words[3, 2] = 0
+        with pytest.raises(ValueError, match=r"label symbol 0 outside 1\.\.3"):
+            interval(STACK_SPECS["uneven"], words)
+
+    def test_first_bad_symbol_is_named(self):
+        with pytest.raises(ValueError, match=r"label symbol 5 outside 1\.\.2"):
+            interval(THIRDS, (1, 5, 3))
+
+    def test_empty_words(self):
+        one = interval(THIRDS, ())
+        assert type(one.left) is float and (one.left, one.length) == (0.0, 1.0)
+        stack = interval(THIRDS, np.empty((3, 0), dtype=np.int32))
+        assert stack.left.tolist() == [0.0] * 3 and stack.length.tolist() == [1.0] * 3
+        none = interval(THIRDS, np.empty((0, 4), dtype=np.int32))
+        assert none.left.shape == none.length.shape == (0,)
+
+    def test_stack_of_more_than_two_dimensions_is_refused(self):
+        with pytest.raises(ValueError, match="2-D stack"):
+            interval(THIRDS, np.ones((2, 2, 2), dtype=np.int32))

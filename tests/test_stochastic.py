@@ -609,6 +609,30 @@ class TestEnergy:
         occ = OccupancyMap(1, 2, {(1,): 2})
         assert energy_estimate(occ, THIRDS_SPEC, 0.5) == 0.0
 
+    def test_one_interval_call_per_level(self, monkeypatch):
+        calls = []
+
+        def counting(spec, words):
+            calls.append(np.shape(words))
+            return interval(spec, words)
+
+        monkeypatch.setattr(stochastic, "interval", counting)
+        spec = ENERGY_SPECS["uneven"][0]
+        p = ProbVector((0.2, 0.3, 0.5))
+        rng = np.random.default_rng(4)
+        occ = OccupancyMap.root(3)
+        shapes = []
+        for _ in range(7):
+            occ = evolve(occ, p, rng=rng)
+            energy_estimate(occ, spec, 0.5)
+            if z_n(occ) >= 2:
+                shapes.append((z_n(occ), occ.level))
+        assert len(shapes) >= 5
+        assert calls == shapes
+        calls.clear()
+        energy_estimate(OccupancyMap(1, 2, {(1,): 2}), THIRDS_SPEC, 0.5)
+        assert calls == []
+
 
 def test_pi_calibration_depth8():
     """Mean Z_8 is an unbiased estimate of 2^8 * pi_8; check at 3 SE."""
