@@ -12,8 +12,12 @@ resolved parameter dict (defaults, then the JSON config, then explicit
 flags) are all generated from it, so a config accepts exactly the fields
 its subcommand's flags set, plus ``mode`` and, for simulate and energy, the
 ``ifs`` geometry. CSV output uses '.' decimals, ',' separators, a header
-row, and 9 significant digits. CANTORFLIP_THREADS caps simulation
-parallelism.
+row, and 9 significant digits; CSV and the exact tables' JSON lists are
+written row by row.
+
+CANTORFLIP_THREADS sets the worker threads: ``energy`` defaults to the
+usable CPUs and ``simulate`` to 1, and neither runs more workers than there
+are usable CPUs. The thread count changes only the speed, never an output.
 """
 
 from __future__ import annotations
@@ -78,6 +82,22 @@ def _json_doc(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _write_json_rows(rows, out: str | None) -> None:
+    """Write ``_json_doc(list(rows))`` one row at a time, to ``out`` or stdout.
+
+    Rows are flat dicts of numbers. Each is encoded without ``indent``, which
+    runs json's C encoder, and its item separator carries the newline and
+    indent that ``indent=2`` gives the items of a dict inside a list.
+    """
+    encode = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).encode
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as f:
+        opening = "[\n"
+        for row in rows:
+            f.write(opening + "  {\n    " + encode(row)[1:-1] + "\n  }")
+            opening = ",\n"
+        f.write("[]\n" if opening == "[\n" else "\n]\n")
+
+
 def _write_csv(header: str, rows, out: str | None) -> None:
     """Write the header, then each row as it is formed, to ``out`` or stdout."""
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as f:
@@ -91,17 +111,29 @@ def _config_hash(resolved: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _threads() -> int:
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _threads(default: int | None) -> int:
+    """CANTORFLIP_THREADS when set, else ``default`` (None: the usable CPUs).
+
+    Capped at the usable CPUs: a worker past them adds memory, not speed.
+    """
+    cpus = _usable_cpus()
     raw = os.environ.get("CANTORFLIP_THREADS", "").strip()
     if not raw:
-        return 1
+        return min(default or cpus, cpus)
     try:
         threads = int(raw)
     except ValueError:
         raise ValueError(f"CANTORFLIP_THREADS must be an integer, got {raw!r}") from None
     if threads < 1:
         raise ValueError(f"CANTORFLIP_THREADS must be at least 1, got {threads}")
-    return threads
+    return min(threads, cpus)
 
 
 def _prob_vector(params: dict, N: int | None) -> ProbVector:
@@ -195,7 +227,7 @@ def cmd_simulate(params: dict) -> int:
     # checked before the trials run, which can take minutes
     if not 0 <= window[0] < window[1] <= depth:
         raise ValueError(f"window {list(window)} needs 0 <= lo < hi <= depth = {depth}")
-    stats = run_trials(spec, p, M, depth, trials, seed, threads=_threads())
+    stats = run_trials(spec, p, M, depth, trials, seed, threads=_threads(1))
     estimate = estimate_dim(stats.z_union, spec.r, window)
     resolved = {
         "N": p.N,
@@ -248,7 +280,7 @@ def cmd_exact(params: dict) -> int:
     if params["table"] == "pi":
         seq = pi_sequence(params["N"], params["M"], params.get("n_max", 30))
         if fmt == "json":
-            _emit(_json_doc([{"n": n, "pi": v} for n, v in enumerate(seq.values)]), out)
+            _write_json_rows(({"n": n, "pi": v} for n, v in enumerate(seq.values)), out)
         else:
             _write_csv("n,pi", enumerate(seq.values), out)
     else:
@@ -258,9 +290,7 @@ def cmd_exact(params: dict) -> int:
             for n in range(params.get("n_max", 10) + 1)
         ]
         if fmt == "json":
-            _emit(
-                _json_doc([{"n": n, "value": v, "bound": b} for n, v, b in rows]), out
-            )
+            _write_json_rows(({"n": n, "value": v, "bound": b} for n, v, b in rows), out)
         else:
             _write_csv("n,value,bound", rows, out)
     return 0
@@ -305,6 +335,7 @@ def cmd_energy(params: dict) -> int:
     p, spec = _geometry(params)
     M, depth, seed = params["M"], params["depth"], params["master_seed"]
     t = params["t"] if "t" in params else 0.5 * lower_bound(p, M, spec.r)
+    threads = _threads(None)
     rng = np.random.default_rng(seed)
     occ = OccupancyMap.root(M)
     rows = []
@@ -312,7 +343,7 @@ def cmd_energy(params: dict) -> int:
     for level in range(1, depth + 1):
         try:
             occ = evolve(occ, p, rng=rng)
-            rows.append((level, energy_estimate(occ, spec, t), spec.r**level))
+            rows.append((level, energy_estimate(occ, spec, t, threads=threads), spec.r**level))
         except (BudgetError, OverflowError) as exc:
             # emit the completed levels, then exit 3 as any budget stop does
             stopped = exc

@@ -39,10 +39,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -380,6 +380,27 @@ def _block_trials(N: int, M: int, depth: int) -> int:
     return max(1, _BLOCK_ENTRIES // min(N, M) ** depth)
 
 
+def _ordered_map(fn: Callable, items: Sequence, workers: int) -> Iterator:
+    """``fn`` of each item, yielded in item order.
+
+    Serial for 1 worker or 1 item; otherwise a pool of min(workers, items)
+    threads with at most two items a thread submitted and not yet yielded,
+    so results waiting to be read, and their futures, stay bounded.
+    """
+    if workers == 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    workers = min(workers, len(items))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead: deque = deque()
+        for item in items:
+            ahead.append(pool.submit(fn, item))
+            if len(ahead) == 2 * workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+
+
 def _trial_blocks(
     p: ProbVector,
     M: int,
@@ -399,12 +420,7 @@ def _trial_blocks(
     def run(b: int) -> tuple[np.ndarray, np.ndarray]:
         return _block_z(parr, M, depth, master_seed, b, min(B, trials - b * B))
 
-    blocks = range(-(-trials // B))
-    if threads == 1:
-        yield from map(run, blocks)
-        return
-    with ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
-        yield from pool.map(run, blocks)
+    yield from _ordered_map(run, range(-(-trials // B)), threads)
 
 
 def _check_budgets(N: int, M: int, depth: int, trials: int, master_seed: int) -> None:
@@ -541,7 +557,7 @@ def estimate_dim(z_series: Sequence[float], r: float, window: tuple[int, int]) -
     return float(slope / -math.log(r))
 
 
-def energy_estimate(occ: OccupancyMap, spec: IfsSpec, t: float) -> float:
+def energy_estimate(occ: OccupancyMap, spec: IfsSpec, t: float, *, threads: int = 1) -> float:
     """Discrete t-energy of the normalized occupancy at its level.
 
     Sum over ordered pairs of distinct occupied words of
@@ -553,17 +569,26 @@ def energy_estimate(occ: OccupancyMap, spec: IfsSpec, t: float) -> float:
     The midpoints come from one ``interval`` call on the sorted words,
     stacked as an int32 Z x level array. The summand is symmetric in the
     pair, so only the upper triangle j > i is computed and doubled. Rows go
-    in tiles of ``_PAIR_TILE``: each tile's differences mid_j - mid_i to
-    columns j >= i0 are formed in place in one preallocated tile x Z buffer
-    (entries j <= i set to inf, whose power is 0) and reduced to
-    w_i . (D w_j) by two vector products, so the temporaries take
-    O(tile * Z) memory. The differences go through ``abs`` only when the
+    in tiles of ``_PAIR_TILE``, and a tile's partial sum is w_i . (D w_j)
+    over its rows i and the columns j >= i0 of its first row. A pool of
+    ``threads`` workers maps over the tiles; the partials are added in tile
+    order, so the result is the same double at every thread count. Each
+    worker owns one buffer of ceil(_PAIR_TILE / workers) x Z doubles, so
+    the buffers together hold about _PAIR_TILE x Z whatever the thread
+    count; it runs a tile in passes of that many rows. A pass forms the
+    differences mid_j - mid_i in place (entries j <= i set to inf, whose
+    power is 0), raises them to -t and writes its rows of D w_j into the
+    tile's row-sum vector; a row's sum does not depend on how many rows
+    share its pass. The differences go through ``abs`` only when the
     midpoints are not strictly ascending: with orientation-preserving maps
     they ascend with the words, and for y > x, y - x is the same double as
-    |x - y|. Raises BudgetError when the Z^2 pairs exceed ``_PAIR_CAP``.
+    |x - y|. Workers call only numpy. Raises BudgetError when the Z^2 pairs
+    exceed ``_PAIR_CAP``.
     """
     if t <= 0:
         raise ValueError(f"energy exponent must be positive, got {t}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     pairs = len(occ.entries) ** 2
     if pairs > _PAIR_CAP:
         raise _budget_error(
@@ -578,18 +603,35 @@ def energy_estimate(occ: OccupancyMap, spec: IfsSpec, t: float) -> float:
     stack = np.fromiter(itertools.chain.from_iterable(words), np.int32, Z * occ.level)
     mids = interval(spec, stack.reshape(Z, occ.level)).midpoint
     ascending = bool(np.all(mids[1:] > mids[:-1]))
-    buf = np.empty((min(_PAIR_TILE, Z), Z))
-    below = np.tri(buf.shape[0], dtype=bool)  # j <= i inside a tile's leading square
-    total = 0.0
-    for i0 in range(0, Z - 1, _PAIR_TILE):
+    starts = range(0, Z - 1, _PAIR_TILE)
+    workers = min(threads, len(starts))
+    rows = min(-(-_PAIR_TILE // workers), Z)
+    free = [np.empty(rows * Z) for _ in range(workers)]  # a worker pops one, runs a tile, puts it back
+    below = np.tri(min(_PAIR_TILE, Z), dtype=bool)  # j <= i inside a tile's leading square
+
+    def tile(i0: int) -> float:
         i1 = min(i0 + _PAIR_TILE, Z)
         n = i1 - i0
-        d = buf[:n, : Z - i0]
-        np.subtract(mids[None, i0:], mids[i0:i1, None], out=d)
-        if not ascending:
-            np.abs(d, out=d)
-        d[:, :n][below[:n, :n]] = np.inf
-        np.power(d, -t, out=d)
-        # einsum, not a BLAS gemv: as fast here, without BLAS worker threads
-        total += float(weights[i0:i1] @ np.einsum("ij,j->i", d, weights[i0:]))
+        buf = free.pop()
+        row_sums = np.empty(n)
+        for r0 in range(i0, i1, rows):
+            r1 = min(r0 + rows, i1)
+            # contiguous rows, and one broadcast operand in the subtraction: numpy
+            # copies each broadcast operand of a call on short rows into a buffer
+            # of up to 8192 doubles, a transient every running worker holds
+            d = buf[: (r1 - r0) * (Z - i0)].reshape(r1 - r0, Z - i0)
+            d[...] = mids[r0:r1, None]
+            np.subtract(mids[i0:], d, out=d)
+            if not ascending:
+                np.abs(d, out=d)
+            d[:, :n][below[r0 - i0 : r1 - i0, :n]] = np.inf
+            np.power(d, -t, out=d)
+            # einsum, not a BLAS gemv: as fast here, without BLAS worker threads
+            np.einsum("ij,j->i", d, weights[i0:], out=row_sums[r0 - i0 : r1 - i0])
+        free.append(buf)
+        return float(weights[i0:i1] @ row_sums)
+
+    total = 0.0
+    for partial in _ordered_map(tile, starts, workers):
+        total += partial
     return 2.0 * total

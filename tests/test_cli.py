@@ -7,6 +7,7 @@ single subprocess test covers the installed entry point.
 import hashlib
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -187,6 +188,42 @@ class TestExact:
         for line in out.strip().splitlines()[1:]:
             _, value, bound = line.split(",")
             assert float(value) <= float(bound) * (1 + 1e-9)
+
+
+    # zn stops at 12: n_max 30 is over its word cap (next test)
+    @pytest.mark.parametrize(
+        "table,n_max", [("pi", 0), ("pi", 1), ("pi", 30), ("zn", 0), ("zn", 1), ("zn", 12)]
+    )
+    def test_json_is_written_row_by_row_as_one_document(self, capsys, tmp_path, table, n_max):
+        from cantorflip import ProbVector, expected_zn, multinomial_bound, pi_sequence
+
+        if table == "pi":
+            doc = [{"n": n, "pi": v} for n, v in enumerate(pi_sequence(2, 2, n_max).values)]
+        else:
+            p = ProbVector((0.3, 0.7))
+            doc = [
+                {"n": n, "value": expected_zn(p, 2, n), "bound": multinomial_bound(p, 2, n)}
+                for n in range(n_max + 1)
+            ]
+        argv = ["exact", "--table", table, "--N", "2", "--M", "2", "--n-max", str(n_max),
+                "--format", "json"]
+        if table == "zn":
+            argv += ["--p", "0.3,0.7"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == cli._json_doc(doc)
+        code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "out.json"))
+        assert code == 0
+        assert (tmp_path / "out.json").read_text() == cli._json_doc(doc)
+
+    def test_zn_json_past_the_word_cap_writes_nothing(self, capsys):
+        code, out, err = run_cli(
+            capsys, "exact", "--table", "zn", "--N", "2", "--M", "2", "--n-max", "30",
+            "--format", "json",
+        )
+        assert code == 3
+        assert out == ""
+        assert "_WORD_CAP" in err
 
 
 class TestDeterministic:
@@ -443,14 +480,15 @@ REFLECTED_ENERGY_DIGESTS = {
 }
 
 
+ENERGY_ARGS = (
+    "energy", "--N", "4", "--M", "2", "--p", "0.25,0.25,0.25,0.25", "--r", "0.2", "--depth", "12",
+)
+
+
 class TestEnergyDigests:
     @pytest.mark.parametrize("seed,fmt", sorted(ENERGY_DIGESTS))
     def test_benchmark_shape(self, capsys, seed, fmt):
-        code, out, _ = run_cli(
-            capsys,
-            "energy", "--N", "4", "--M", "2", "--p", "0.25,0.25,0.25,0.25", "--r", "0.2",
-            "--depth", "12", "--seed", str(seed), "--format", fmt,
-        )
+        code, out, _ = run_cli(capsys, *ENERGY_ARGS, "--seed", str(seed), "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == ENERGY_DIGESTS[seed, fmt]
 
@@ -565,6 +603,68 @@ def test_entry_point_subprocess():
 
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
+
+
+def test_energy_threads_env_var(capsys, monkeypatch):
+    argv = ENERGY_ARGS + ("--seed", "1")
+    monkeypatch.setenv("CANTORFLIP_THREADS", "1")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    # energy defaults to the usable CPUs; one thread must print the same bytes
+    monkeypatch.delenv("CANTORFLIP_THREADS")
+    _, out_default, _ = run_cli(capsys, *argv)
+    assert out == out_default
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Two usable CPUs, and the max_workers of every pool the stochastic layer starts."""
+    import cantorflip.stochastic as stochastic
+
+    sizes = []
+
+    class Spy(stochastic.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(stochastic, "ThreadPoolExecutor", Spy)
+    monkeypatch.delenv("CANTORFLIP_THREADS", raising=False)
+    return sizes
+
+
+# three blocks of 16 trials; an energy level past 64 words has two tiles or more
+POOLED_SIMULATE = ("simulate", "--M", "2", "--p", "0.5,0.5", "--depth", "12", "--trials", "40")
+POOLED_ENERGY = ("energy", "--N", "2", "--M", "2", "--p", "0.5,0.5", "--depth", "8", "--seed", "3")
+
+
+@pytest.mark.parametrize(
+    "env,argv,sizes",
+    [
+        ("64", POOLED_SIMULATE, {2}),
+        (None, POOLED_SIMULATE, set()),
+        ("64", POOLED_ENERGY, {2}),
+        (None, POOLED_ENERGY, {2}),
+        ("1", POOLED_ENERGY, set()),
+    ],
+    ids=["simulate-64", "simulate-unset", "energy-64", "energy-unset", "energy-1"],
+)
+def test_worker_count_is_capped_at_the_usable_cpus(capsys, monkeypatch, pool_sizes, env, argv, sizes):
+    if env is not None:
+        monkeypatch.setenv("CANTORFLIP_THREADS", env)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert set(pool_sizes) == sizes
+
+
+def test_usable_cpus_fall_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.delenv("CANTORFLIP_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert (cli._threads(None), cli._threads(1)) == (2, 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._threads(None) == 1
 
 
 def test_threads_env_var(capsys, monkeypatch):

@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -574,6 +575,48 @@ class TestEnergy:
             assert got == pytest.approx(_full_matrix_energy(occ, spec, t), rel=1e-12)
             if Z <= 2 * _TILE + 1:
                 assert got == pytest.approx(_double_loop_energy(occ, spec, t), rel=1e-12)
+
+    @pytest.mark.parametrize("Z", [2, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1, 2999])
+    @pytest.mark.parametrize("name", sorted(ENERGY_SPECS))
+    def test_thread_count_is_invisible(self, name, Z):
+        spec, level = ENERGY_SPECS[name]
+        occ = _random_occupancy(spec.N, level, Z, seed=Z)
+        for t in (0.05, 0.5, 2.0):
+            serial = energy_estimate(occ, spec, t).hex()
+            for threads in (2, 3, 4, 7):
+                assert energy_estimate(occ, spec, t, threads=threads).hex() == serial
+
+    def test_buffer_handoff_survives_thread_switching(self):
+        # workers pop and put back buffers of one shared free list
+        occ = _random_occupancy(2, 12, 1001, seed=3)
+        serial = energy_estimate(occ, THIRDS_SPEC, 0.5).hex()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert energy_estimate(occ, THIRDS_SPEC, 0.5, threads=7).hex() == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_threads_below_one_raise(self):
+        occ = OccupancyMap(1, 2, {(1,): 1, (2,): 1})
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            energy_estimate(occ, THIRDS_SPEC, 0.5, threads=0)
+
+    def test_workers_split_one_tile_sized_buffer(self):
+        # the buffers of all workers together hold about _PAIR_TILE x Z doubles
+        occ = _random_occupancy(2, 12, 2999, seed=2999)
+        peaks = {}
+        for threads in (1, 2):
+            energy_estimate(occ, THIRDS_SPEC, 0.5, threads=threads)  # warm lazy set-up
+            tracemalloc.start()
+            try:
+                energy_estimate(occ, THIRDS_SPEC, 0.5, threads=threads)
+                peaks[threads] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] > _TILE * 2999 * 8
+        assert peaks[2] <= 1.05 * peaks[1] + 64 * 1024
 
     def test_two_interval_anchor(self):
         # intervals [0,1/3] and [2/3,1]: midpoints 1/6 and 5/6, weights 1/2
