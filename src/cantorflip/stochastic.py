@@ -11,7 +11,10 @@ single multinomial(M*c, p) draw, independently across words. ``_step`` is
 the one implementation of that level step: it works on int64 word codes and
 path counts, the children of code c being c*N + l, so sorted parents give
 sorted children and the state stays linear in the number of distinct words
-rather than in the number of paths or of possible words.
+rather than in the number of paths or of possible words. The step runs in
+a ``_Workspace``: grow-only arrays that hold the level's entries and every
+temporary of its draws, which each block worker keeps for all its blocks,
+so once its largest level has run a worker allocates no state-sized array.
 
 ``evolve`` advances an ``OccupancyMap`` by one step. ``run_trials`` and
 ``z_distribution`` advance trials in blocks of B = max(1, _BLOCK_ENTRIES //
@@ -39,6 +42,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -61,6 +65,8 @@ _INVERSION_MEAN = 30.0  # numpy inverts Binomial(n, q) when n*q <= 30, q = min(r
 # last row of a binomial table: the whole inversion regime for q >= 1/10, and a
 # table (at most 301 rows of 128 CDF and guide entries) stays under 1 MB
 _TABLE_ROWS = 300
+# (entry, letter) cells a compaction piece: its index arrays stay at 64 KB
+_PIECE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -189,59 +195,125 @@ def _inversion_table(ratio: float) -> _InversionTable:
     return _InversionTable(flip, int(n[-1]), shift, cdf, guide)
 
 
-def _invert(table: _InversionTable, n: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X = least k with u <= cdf[n, k] for each entry (1 <= n <= last), on the q side.
+class _Workspace:
+    """Grow-only buffers that one block worker reuses for every level it runs.
 
-    Returns X and the indices of the entries whose u lies past cdf[n, bound_n],
-    which numpy redraws.
+    ``array(name, size, dtype)`` returns the first ``size`` items of buffer
+    ``name``, reallocated only when it is too small, so once a worker has run
+    its largest level no later level allocates a state-sized array. A fresh
+    workspace allocates every array it hands out; callers without one make
+    one. Roles whose lifetimes do not overlap share a buffer: "codes" and
+    "counts" hold a level's entries, which its outputs overwrite, and
+    "counts" holds a column's uniforms while the level's draws run;
+    "splits" holds the multinomial columns; "rows" is a column's draw
+    scratch, then the level's input codes while it is compacted; "inverted"
+    and "walk" are a column's flags, and "piece" and "kids" one piece of
+    the compaction.
     """
-    # in-place steps: a level can hold millions of entries
-    x = (u * (1 << table.shift)).astype(np.int64)
-    x += n << table.shift
-    x = table.guide[x]
-    walked = i = np.flatnonzero(u > table.cdf[x])
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+        self._views: dict[tuple[str, type], np.ndarray] = {}  # whole buffers, typed
+
+    def array(self, name: str, size: int, dtype=np.int64) -> np.ndarray:
+        view = self._views.get((name, dtype))
+        if view is None or view.size < size:
+            del view  # held through a growth, it would keep the old buffer alive
+            nbytes = size * np.dtype(dtype).itemsize
+            if name not in self._buffers or self._buffers[name].size < nbytes:
+                # drop the old buffer and its views before allocating the new one
+                self._views = {key: v for key, v in self._views.items() if key[0] != name}
+                self._buffers.pop(name, None)
+                # whole 8-byte words, so every dtype can view the buffer
+                self._buffers[name] = np.empty(-(-nbytes // 8) * 8, dtype=np.uint8)
+            view = self._views[name, dtype] = self._buffers[name].view(dtype)
+        return view[:size]
+
+
+def _invert(
+    table: _InversionTable, n: np.ndarray, u: np.ndarray, x: np.ndarray, ws: _Workspace
+) -> np.ndarray:
+    """x = least k with u <= cdf[min(n, last), k] for each entry, on the q side.
+
+    Writes X into the int64 array ``x`` and returns the indices of the entries
+    whose u lies past cdf[n, bound_n], which numpy redraws. An entry with
+    u = 0 gets X = 0 from any row.
+    """
+    rows = ws.array("rows", n.size)  # scaled uniforms, then row offsets, then CDF values
+    scaled = rows.view(np.float64)
+    np.multiply(u, 1 << table.shift, out=scaled)  # exact: a power of two
+    np.copyto(x, scaled, casting="unsafe")  # truncation: the bucket of u
+    np.minimum(n, table.last, out=rows)
+    np.left_shift(rows, table.shift, out=rows)
+    x += rows
+    np.take(table.guide, x, out=x, mode="clip")
+    walk = ws.array("walk", n.size, bool)
+    np.take(table.cdf, x, out=scaled, mode="clip")
+    np.add(x, 1, out=x, where=np.greater(u, scaled, out=walk))
+    np.take(table.cdf, x, out=scaled, mode="clip")
+    i = np.flatnonzero(np.greater(u, scaled, out=walk))  # the few entries past a second step
     while i.size:
         x[i] += 1
         i = i[u[i] > table.cdf[x[i]]]
-    again = walked[table.cdf[x[walked]] == 2.0]
-    x -= n << table.shift
-    return x, again
+    # the guide never starts an entry on a 2.0, so only entries that walked end there
+    np.take(table.cdf, x, out=scaled, mode="clip")
+    again = np.flatnonzero(np.equal(scaled, 2.0, out=walk))
+    np.minimum(n, table.last, out=rows)
+    np.left_shift(rows, table.shift, out=rows)
+    x -= rows
+    return again
 
 
-def _table_binomial(rng: np.random.Generator, table: _InversionTable, n: np.ndarray) -> np.ndarray:
-    """Table draws for entries with 1 <= n <= last: one uniform each, in entry order."""
-    x, again = _invert(table, n, rng.random(n.size))
-    while again.size:  # numpy redraws at once; here the redraws follow the level's draws
-        redrawn, back = _invert(table, n[again], rng.random(again.size))
-        x[again] = redrawn
-        again = again[back]
-    return np.subtract(n, x, out=x) if table.flip else x
-
-
-def _binomial(rng: np.random.Generator, n: np.ndarray, ratio: float) -> np.ndarray:
-    """Binomial(n_i, ratio) for every entry of the int64 array ``n``.
+def _binomial(
+    rng: np.random.Generator,
+    n: np.ndarray,
+    ratio: float,
+    out: np.ndarray | None = None,
+    ws: _Workspace | None = None,
+) -> np.ndarray:
+    """Binomial(n_i, ratio) for every entry of the int64 array ``n``, into ``out``.
 
     Entries in numpy's inversion regime (n*q <= 30 with q = min(ratio,
     1 - ratio), n >= 1), up to the table's last row, invert one uniform each
     against ``_inversion_table(ratio)``, in entry order. Then the remaining
     entries with n >= 1 go to ``Generator.binomial``, in entry order. Entries
-    with n = 0 draw nothing and give 0.
+    with n = 0 draw nothing and give 0. ``out`` is a contiguous int64 array
+    of n's length, allocated when not given. The uniforms go to the
+    "counts" buffer of ``ws``, so ``n`` and ``out`` must lie elsewhere.
     """
+    ws = _Workspace() if ws is None else ws
     table = _inversion_table(float(ratio))
+    out = np.empty(n.size, dtype=np.int64) if out is None else out
+    u = ws.array("counts", n.size, np.float64)
+    inverted = ws.array("inverted", n.size, bool)
     if n.size and n.min() >= 1 and n.max() <= table.last:
-        return _table_binomial(rng, table, n)
-    inverted = (n >= 1) & (n <= table.last)
-    drawn = _table_binomial(rng, table, n[inverted])
-    out = np.zeros_like(n)
-    out[inverted] = drawn
-    rest = n > table.last
+        rng.random(out=u)
+    else:  # the table entries take the column's first k uniforms; the rest read u = 0
+        np.greater_equal(n, 1, out=inverted)
+        inverted &= np.less_equal(n, table.last, out=ws.array("walk", n.size, bool))
+        drawn = ws.array("rows", n.size, np.float64)[: np.count_nonzero(inverted)]
+        rng.random(out=drawn)
+        u.fill(0.0)
+        u[inverted] = drawn
+    again = _invert(table, n, u, out, ws)
+    while again.size:  # numpy redraws at once; here the redraws follow the column's draws
+        redrawn = np.empty(again.size, dtype=np.int64)
+        back = _invert(table, n[again], rng.random(again.size), redrawn, _Workspace())
+        out[again] = redrawn
+        again = again[back]
+    if table.flip:
+        np.subtract(n, out, out=out)
+    rest = np.greater(n, table.last, out=inverted)
     if rest.any():
-        out[rest] = rng.binomial(n[rest], ratio)
+        i = np.flatnonzero(rest)
+        out[i] = rng.binomial(n[i], ratio)
     return out
 
 
-def _multinomial_split(rng: np.random.Generator, n: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Exact multinomial(n_i, p) draw for every entry of ``n``.
+def _multinomial_split(
+    rng: np.random.Generator, n: np.ndarray, p: np.ndarray, ws: _Workspace | None = None
+) -> np.ndarray:
+    """Exact multinomial(n_i, p) draw for every entry of ``n``, as a len(n) x N array.
 
     Sequential conditional binomials: column l is Binomial(remaining, p_l /
     tail_l) and the last column takes what is left, so mass is conserved
@@ -251,36 +323,61 @@ def _multinomial_split(rng: np.random.Generator, n: np.ndarray, p: np.ndarray) -
     rejection), so no normal approximation enters at any count size. Where
     no entry of a column goes to ``Generator.binomial``, the column is the
     draw ``rng.binomial(rem, ratio)`` would make, from the same uniforms.
+    The result is a transposed view of one N x len(n) array, so each column
+    is drawn in place. ``n`` is read once, before any draw, so it may be the
+    "counts" buffer of ``ws``, which the draws then reuse.
     """
+    ws = _Workspace() if ws is None else ws
     n = np.asarray(n, dtype=np.int64)
     N = p.shape[0]
     tails = _tail_probs(p)
-    out = np.empty((n.shape[0], N), dtype=np.int64)
-    rem = n.copy()
+    out = ws.array("splits", N * n.size).reshape(N, n.size)
+    rem = out[N - 1]  # the last column is what the others leave
+    rem[...] = n
     for l in range(N - 1):
         ratio = min(1.0, p[l] / tails[l])
-        draw = _binomial(rng, rem, ratio)
-        out[:, l] = draw
-        rem -= draw
-    out[:, N - 1] = rem
-    return out
+        rem -= _binomial(rng, rem, ratio, out[l], ws)
+    return out.T
 
 
-def _step(
-    rng: np.random.Generator, codes: np.ndarray, counts: np.ndarray, p: np.ndarray, M: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One level of the occupancy kernel: (codes, counts) -> occupied children.
+def _step(rng: np.random.Generator, size: int, p: np.ndarray, M: int, ws: _Workspace) -> int:
+    """One level of the occupancy kernel, in place on the entries held in ``ws``.
 
-    Entry i's M*counts[i] child paths split over the children codes[i]*N + l,
-    l = 0..N-1, by one multinomial draw per entry, in entry order. Children
-    come out in (entry, l) order with zero counts dropped, so ascending codes
-    stay ascending.
+    The level is the first ``size`` items of the "codes" (ascending int64
+    word codes) and "counts" (path counts) buffers. Entry i's M*counts[i]
+    child paths split over the children codes[i]*N + l, l = 0..N-1, by one
+    multinomial draw per entry, in entry order. The children with nonzero
+    counts replace the entries in (entry, l) order, so ascending codes stay
+    ascending; returns their number. The compaction runs in pieces of
+    _PIECE (entry, letter) cells, so its temporaries stay small.
     """
     N = p.shape[0]
-    splits = _multinomial_split(rng, M * counts, p)
-    occupied = splits > 0
-    children = codes[:, None] * N + np.arange(N, dtype=np.int64)
-    return children[occupied], splits[occupied]
+    counts = ws.array("counts", size)
+    splits = _multinomial_split(rng, np.multiply(counts, M, out=counts), p, ws)
+    del counts  # the draws reused its buffer; nothing holds it if "counts" grows
+    codes = ws.array("rows", size)  # the draws' scratch takes the inputs, so "codes"
+    codes[...] = ws.array("codes", size)  # can grow without holding its old buffer
+    end = int(np.count_nonzero(splits.T))
+    new_codes, new_counts = ws.array("codes", end), ws.array("counts", end)
+    rows = min(size, _PIECE // N)
+    pieces, children = ws.array("piece", rows * N), ws.array("kids", rows * N)
+    start = 0
+    for e0 in range(0, size, rows):
+        e1 = min(e0 + rows, size)
+        piece = pieces[: (e1 - e0) * N].reshape(e1 - e0, N)
+        kids = children[: (e1 - e0) * N].reshape(e1 - e0, N)
+        for l in range(N):  # column by column: a broadcast over N = 2 letters is slower
+            piece[:, l] = splits[e0:e1, l]
+            np.multiply(codes[e0:e1], N, out=kids[:, l])
+            if l:
+                kids[:, l] += l
+        occupied = np.flatnonzero(piece)
+        stop = start + occupied.size
+        np.take(kids, occupied, out=new_codes[start:stop], mode="clip")
+        np.take(piece, occupied, out=new_counts[start:stop], mode="clip")
+        del occupied  # so two pieces' indices are never held at once
+        start = stop
+    return end
 
 
 def evolve(occ: OccupancyMap, p: ProbVector, rng: np.random.Generator) -> OccupancyMap:
@@ -297,15 +394,15 @@ def evolve(occ: OccupancyMap, p: ProbVector, rng: np.random.Generator) -> Occupa
             "lower the depth or switch to trial sampling"
         )
     words = list(occ.entries)
-    counts = np.fromiter(occ.entries.values(), dtype=np.int64, count=len(words))
+    ws = _Workspace()
     # entry indices as codes: child i*N + l is word i extended by letter l+1
-    codes, child_counts = _step(
-        rng, np.arange(len(words), dtype=np.int64), counts, p.as_array(), occ.M
-    )
+    ws.array("codes", len(words))[...] = np.arange(len(words))
+    ws.array("counts", len(words))[...] = np.fromiter(occ.entries.values(), np.int64, len(words))
+    size = _step(rng, len(words), p.as_array(), occ.M, ws)
     N = p.N
     entries = {
         words[c // N] + (c % N + 1,): n
-        for c, n in zip(codes.tolist(), child_counts.tolist())
+        for c, n in zip(ws.array("codes", size).tolist(), ws.array("counts", size).tolist())
     }
     return OccupancyMap(occ.level + 1, occ.M, entries)
 
@@ -354,6 +451,7 @@ def _block_z(
     master_seed: int,
     block: int,
     size: int,
+    ws: _Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial Z at levels 0..depth, and the level-depth words, of one block.
 
@@ -361,18 +459,24 @@ def _block_z(
     j*N^k + word and entries stay ordered by (trial, word). Returns an int64
     array of shape (depth + 1, size) and the int64 words (codes mod N^depth)
     that the block's trials occupy at level depth, each trial's ascending.
+    Every level runs in ``ws``, which the worker passes to its next block:
+    the words are a view of its "codes" buffer, valid until ``ws`` is used
+    again. Without one, the block allocates its arrays afresh.
     """
+    ws = _Workspace() if ws is None else ws
     N = p.shape[0]
     rng = _trial_rng(master_seed, block)
-    codes = np.arange(size, dtype=np.int64)
-    counts = np.ones(size, dtype=np.int64)
+    ws.array("codes", size)[...] = np.arange(size)
+    ws.array("counts", size).fill(1)
     zs = np.ones((depth + 1, size), dtype=np.int64)
+    entries = size
     for k in range(1, depth + 1):
-        codes, counts = _step(rng, codes, counts, p, M)
+        entries = _step(rng, entries, p, M, ws)
         # trial j's codes fill [starts[j], starts[j + 1]) of the sorted codes
         starts = np.arange(size + 1, dtype=np.int64) * N**k
-        zs[k] = np.diff(np.searchsorted(codes, starts))
-    return zs, codes % N**depth
+        zs[k] = np.diff(np.searchsorted(ws.array("codes", entries), starts))
+    words = ws.array("codes", entries)
+    return zs, np.remainder(words, N**depth, out=words)
 
 
 def _block_trials(N: int, M: int, depth: int) -> int:
@@ -411,14 +515,22 @@ def _trial_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``_block_z`` of every block, yielded in block order as it is consumed.
 
-    Blocks are independent and workers share no mutable state, so a pool of
-    ``threads`` workers maps over them without changing any result.
+    Blocks are independent and workers share no mutable state: each worker
+    thread owns one ``_Workspace`` for all its blocks, dropped when this
+    generator ends, so a pool of ``threads`` workers maps over the blocks
+    without changing any result. Serial, a block's words are a view of the
+    workspace, read before the next block is drawn; pooled, a worker copies
+    them, since it runs its next block before this one is read.
     """
     B = _block_trials(p.N, M, depth)
     parr = p.as_array()
+    local = threading.local()
 
     def run(b: int) -> tuple[np.ndarray, np.ndarray]:
-        return _block_z(parr, M, depth, master_seed, b, min(B, trials - b * B))
+        if not hasattr(local, "ws"):
+            local.ws = _Workspace()
+        zs, words = _block_z(parr, M, depth, master_seed, b, min(B, trials - b * B), local.ws)
+        return zs, words.copy() if threads > 1 else words
 
     yield from _ordered_map(run, range(-(-trials // B)), threads)
 
@@ -490,7 +602,7 @@ def run_trials(
     union = np.zeros(words, dtype=bool)
     for zs, deepest in _trial_blocks(p, M, depth, trials, master_seed, threads):
         union[deepest] = True
-        del deepest  # a serial run computes the next block while the loop holds this one
+        del deepest  # a view of a worker's "codes": held, it would outlive that buffer's growth
         sums = [a + b for a, b in zip(sums, zs.sum(axis=1).tolist())]
         sums2 = [a + b for a, b in zip(sums2, (zs * zs).sum(axis=1).tolist())]
         mins = [min(a, b) for a, b in zip(mins, zs.min(axis=1).tolist())]

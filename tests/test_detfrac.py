@@ -122,6 +122,17 @@ class TestWordSets:
             for n in (4, 8):
                 assert tree_words(m, n) <= sft_words(L, n)
 
+    @pytest.mark.parametrize("m", [1000, 2047, 2048, 4000, 9999])
+    def test_identities_for_m_in_the_thousands(self, m):
+        # criterion 8's identities (tree = graph, within the shift) past its m <= 14:
+        # 2047 opens the L = 10 block, 2048 is a power of two, 9999 the most residues
+        L = level_of(m)
+        for n in range(24, 31):
+            words = tree_words(m, n)
+            assert words, (m, n)
+            assert words == graph_words(m, n), (m, n)
+            assert words <= sft_words(L, n), (m, n)
+
     def test_sft_small_cases(self):
         assert sft_words(1, 3) == {(0, 0, 0), (0, 0, 1), (0, 1, 0)}
         # head of min(L, n) zeros is forced

@@ -307,15 +307,23 @@ def _chi_square(sample, pmf):
 
 
 class _ScriptedUniforms:
-    """A generator stand-in whose ``random`` calls return the given arrays in turn."""
+    """A generator stand-in whose ``random`` calls return the given arrays in turn.
+
+    Like ``Generator.random``, it takes a ``size`` or fills an ``out`` array;
+    either must match the next scripted draw's length.
+    """
 
     def __init__(self, *draws):
         self.draws = [np.asarray(d, dtype=np.float64) for d in draws]
 
-    def random(self, size):
+    def random(self, size=None, out=None):
         u = self.draws.pop(0)
-        assert u.size == size
-        return u
+        if out is None:
+            assert u.size == size
+            return u
+        assert size is None and u.size == out.size
+        out[...] = u
+        return out
 
 
 class TestBinomialSampler:
@@ -377,6 +385,14 @@ class TestBinomialSampler:
         want = next(k for k, c in enumerate(np.cumsum(_binomial_pmf(n, 0.5))) if c >= 0.3)
         rng = _ScriptedUniforms([top], [0.3])
         assert stochastic._binomial(rng, np.array([n]), 0.5).tolist() == [want]
+        assert rng.draws == []
+        # the same column beside a zero and a fallback entry, in a used workspace
+        ws = stochastic._Workspace()
+        stochastic._binomial(np.random.default_rng(1), np.arange(1000), 0.5, ws=ws)
+        rng = _ScriptedUniforms([top], [0.3])
+        rng.binomial = lambda n, ratio: np.full(n.shape, -1)  # marks the fallback entries
+        got = stochastic._binomial(rng, np.array([0, n, 1000]), 0.5, ws=ws)
+        assert got.tolist() == [0, want, -1]
         assert rng.draws == []
 
     def test_tables_are_built_on_first_draw_not_at_import(self):
@@ -492,6 +508,103 @@ class TestKernelOracles:
         got = evolve(occ, SYM, rng=np.random.default_rng(8))
         want = _dict_evolve(occ, SYM, np.random.default_rng(8))
         assert list(got.entries.items()) == list(want.entries.items())
+
+
+# (p, M, depth, trials, seed) in run order: one trial a block (2^17 > _BLOCK_ENTRIES)
+# and Z grows to about 25k entries, then blocks of B = 4 and B = 16 trials (N = 3) with
+# smaller, then larger, levels, then N = 2, M = 3, p = (0.8, 0.2), whose split ratio
+# 0.8 sends n > 150 paths to Generator.binomial; each run ends in a partial block
+WORKSPACE_RUNS = [
+    ((0.5, 0.5), 2, 17, 3, 5),
+    ((0.2, 0.8), 2, 14, 10, 6),
+    ((0.1, 0.3, 0.6), 2, 12, 20, 1),
+    ((0.8, 0.2), 3, 7, 700, 2),
+]
+
+
+class TestWorkspace:
+    def test_one_workspace_across_blocks_changes_no_result(self):
+        ws = stochastic._Workspace()
+        for p, M, depth, trials, seed in WORKSPACE_RUNS:
+            pv = ProbVector(p)
+            N, parr = pv.N, pv.as_array()
+            B = stochastic._block_trials(N, M, depth)
+            blocks = -(-trials // B)
+            assert B == 1 or (blocks > 1 and trials % B)
+            for b in range(blocks):
+                size = min(B, trials - b * B)
+                union = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
+                want = _dense_block_z(stochastic._trial_rng(seed, b), parr, M, depth, size, union)
+                fresh, fresh_words = stochastic._block_z(parr, M, depth, seed, b, size)
+                got, words = stochastic._block_z(parr, M, depth, seed, b, size, ws)
+                assert np.array_equal(got, want)
+                assert np.array_equal(fresh, want)
+                assert np.array_equal(words, fresh_words)
+                assert np.array_equal(np.unique(words), np.flatnonzero(union[depth - 1]))
+
+    def test_fallback_column_in_the_kernel(self):
+        # the last shape above really sends entries to Generator.binomial
+        class Counting:
+            def __init__(self, rng):
+                self.rng, self.fallback = rng, 0
+
+            def random(self, *args, **kwargs):
+                return self.rng.random(*args, **kwargs)
+
+            def binomial(self, n, ratio):
+                self.fallback += n.size
+                return self.rng.binomial(n, ratio)
+
+        rng = Counting(stochastic._trial_rng(2, 0))
+        ws = stochastic._Workspace()
+        ws.array("codes", 1)[...] = 0
+        ws.array("counts", 1)[...] = 1
+        size = 1
+        for _ in range(7):
+            size = stochastic._step(rng, size, np.array([0.8, 0.2]), 3, ws)
+        assert rng.fallback > 0
+
+    @pytest.mark.parametrize("p, M, depth, trials, seed", WORKSPACE_RUNS[:3])
+    def test_pooled_workers_match_serial(self, p, M, depth, trials, seed):
+        pv = ProbVector(p)
+        spec = canonical_spec(pv.N, 1 / (pv.N + 1))
+        serial = run_trials(spec, pv, M, depth, trials, master_seed=seed)
+        assert run_trials(spec, pv, M, depth, trials, master_seed=seed, threads=2) == serial
+
+    @pytest.mark.parametrize("p, depth, size", [((0.5, 0.5), 18, 1), ((0.1, 0.3, 0.6), 12, 16)])
+    def test_later_blocks_allocate_no_state_sized_array(self, p, depth, size):
+        parr = ProbVector(p).as_array()
+        ws = stochastic._Workspace()
+        for b in range(3):  # warm: the workspace grows to the largest of these blocks
+            stochastic._block_z(parr, 2, depth, 7, b, size, ws)
+        tracemalloc.start()
+        try:
+            for b in range(3):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                _, words = stochastic._block_z(parr, 2, depth, 7, b, size, ws)
+                transient = tracemalloc.get_traced_memory()[1] - before
+                # one temporary of at most 64 KB at a time (a piece's indices), and
+                # the state is too big to hide an array of its size under that bound
+                assert transient <= 64 * 1024 + 4096, (b, transient)
+                assert 8 * words.size > 3 * (64 * 1024 + 4096)
+        finally:
+            tracemalloc.stop()
+
+    def test_run_trials_peak_memory_is_linear_in_the_largest_level(self):
+        # traced peak <= C * 8 * max_k Z_k bytes + the N^depth union bitmap; the kernel
+        # before the workspace peaked at C = 5.40 here (seeds 1, 2 and 7, 3-5 trials)
+        C = 5.5
+        depth = 18
+        run_trials(THIRDS_SPEC, SYM, 2, 6, 1, 0)  # builds the cached inversion table
+        for trials, seed in ((3, 1), (3, 2), (5, 7)):
+            tracemalloc.start()
+            try:
+                s = run_trials(THIRDS_SPEC, SYM, 2, depth, trials, master_seed=seed)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= C * 8 * max(s.z_max) + 2**depth, (seed, peak, max(s.z_max))
 
 
 class TestEstimateDim:
