@@ -182,23 +182,24 @@ def sft_count(L: int, n: int) -> int:
 
 
 def sft_words(L: int, n: int) -> set[Word01]:
-    """Length-n binary words starting with 0^min(L,n) and avoiding 1 0^k 1, k < L."""
+    """Length-n binary words starting with 0^min(L,n) and avoiding 1 0^k 1, k < L.
+
+    Built one letter at a time, the words grouped by their gap since the
+    last 1 under sft_count's rule, so the word length sets no recursion depth.
+    """
     total = sft_count(L, n)
     if total > _WORDS_CAP:
         raise _budget_error(f"{total} words of length {n}", _WORDS_CAP, "_WORDS_CAP")
     head = min(L, n)
-    out: set[Word01] = set()
-
-    def grow(word: Word01, gap: int) -> None:
-        if len(word) == n:
-            out.add(word)
-            return
-        grow(word + (0,), min(gap + 1, L))
-        if len(word) >= head and gap >= L:
-            grow(word + (1,), 0)
-
-    grow((), L)
-    return out
+    frontier: dict[int, list[Word01]] = {L: [()]}  # gap, clamped at L -> words
+    for pos in range(n):
+        grown: dict[int, list[Word01]] = {}
+        for gap, words in frontier.items():
+            grown.setdefault(min(gap + 1, L), []).extend([w + (0,) for w in words])
+            if pos >= head and gap >= L:
+                grown.setdefault(0, []).extend([w + (1,) for w in words])
+        frontier = grown
+    return {w for words in frontier.values() for w in words}
 
 
 def dimension_rows(ms, r: float) -> list[tuple[int, int | None, float | None, float]]:

@@ -136,12 +136,16 @@ def canonical_spec(N: int, r: float) -> IfsSpec:
 
 
 def label_symbols(w: Sequence[int], N: int) -> tuple[int, ...]:
-    """The symbols of a label word, checked against the alphabet {1..N}."""
-    symbols = tuple(int(s) for s in w)
-    for s in symbols:
-        if not 1 <= s <= N:
-            raise ValueError(f"label symbol {s} outside 1..{N}")
-    return symbols
+    """The symbols of a label word, checked to be whole numbers in the alphabet {1..N}."""
+    symbols = []
+    for s in w:
+        symbol = int(s)
+        if symbol != s:
+            raise ValueError(f"label symbol {s} is not a whole number")
+        if not 1 <= symbol <= N:
+            raise ValueError(f"label symbol {symbol} outside 1..{N}")
+        symbols.append(symbol)
+    return tuple(symbols)
 
 
 def interval(spec: IfsSpec, w: Sequence[int] | np.ndarray) -> Interval:
@@ -149,19 +153,25 @@ def interval(spec: IfsSpec, w: Sequence[int] | np.ndarray) -> Interval:
 
     ``w`` is one word, giving an Interval of floats, or a 2-D integer array
     whose rows are words of one length, giving an Interval of arrays with
-    one entry per row. The affine composition x -> a*x + c is accumulated
-    left to right, one column of the stack at a time, so the rounding error
-    of an endpoint grows only linearly with the depth. Each step is
-    c + a*b and a*r, or for a reflected map c + a*(b + r) and a*(-r), the
-    same float operations for every row, so a row of a stack is bit for bit
-    the interval of that word alone. The length is r^len(w) up to that
-    rounding.
+    one entry per row. A symbol that is not a whole number, such as 1.7, is
+    refused, not truncated; integer arrays are read as they are. The affine
+    composition x -> a*x + c is accumulated left to right, one column of the
+    stack at a time, so the rounding error of an endpoint grows only
+    linearly with the depth. Each step is c + a*b and a*r, or for a
+    reflected map c + a*(b + r) and a*(-r), the same float operations for
+    every row, so a row of a stack is bit for bit the interval of that word
+    alone. The length is r^len(w) up to that rounding.
     """
     words = np.asarray(w)
     if words.ndim not in (1, 2):
         raise ValueError(f"expected a word or a 2-D stack of words, got {words.ndim} dimensions")
     if words.dtype.kind not in "iu":
-        words = words.astype(np.int64)
+        with np.errstate(invalid="ignore"):  # nan and inf cast to garbage, named below
+            whole = words.astype(np.int64)
+        fractional = words[whole != words]
+        if fractional.size:
+            raise ValueError(f"label symbol {fractional[0]} is not a whole number")
+        words = whole
     stack = words if words.ndim == 2 else words[None, :]
     if stack.size and not 1 <= stack.min() <= stack.max() <= spec.N:
         flat = stack.ravel()

@@ -16,15 +16,16 @@ a ``_Workspace``: grow-only arrays that hold the level's entries and every
 temporary of its draws, which each block worker keeps for all its blocks,
 so once its largest level has run a worker allocates no state-sized array.
 
-``evolve`` advances an ``OccupancyMap`` by one step. ``run_trials`` and
-``z_distribution`` advance trials in blocks of B = max(1, _BLOCK_ENTRIES //
-min(N, M)^depth): block b holds trials [b*B, (b+1)*B), draws from
-Generator(PCG64(SeedSequence(master_seed, spawn_key=(b,)))) and orders its
-entries by (trial, code). Results depend on that block size and on nothing
-else (not on the thread count). When B == 1, block b is trial b, so deep
-shapes keep one stream per trial. At one seed both functions see the same
-trials: ``z_distribution`` is the histogram of the per-trial counts that
-``run_trials`` aggregates.
+``evolve`` advances an ``OccupancyMap``, a level's words as an int32 array
+with their path counts, by one ``_step`` whose codes are the row indices.
+``run_trials`` and ``z_distribution`` advance trials in blocks of B =
+max(1, _BLOCK_ENTRIES // min(N, M)^depth): block b holds trials [b*B,
+(b+1)*B), draws from Generator(PCG64(SeedSequence(master_seed,
+spawn_key=(b,)))) and orders its entries by (trial, code). Results depend
+on that block size and on nothing else (not on the thread count). When
+B == 1, block b is trial b, so deep shapes keep one stream per trial. At
+one seed both functions see the same trials: ``z_distribution`` is the
+histogram of the per-trial counts that ``run_trials`` aggregates.
 
 Within a level a stream is consumed column by column of the multinomial
 split. A column first draws its table entries in entry order, one uniform
@@ -40,7 +41,6 @@ after the column's other table draws, where numpy redraws it at once.)
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import threading
 from collections import Counter, deque
@@ -103,38 +103,43 @@ class ProbVector:
         return np.asarray(self.values, dtype=np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OccupancyMap:
-    """Level-n occupancy: label word -> number of paths carrying it.
+    """Level-n occupancy: the occupied label words and how many paths carry each.
 
-    Counts are positive and sum to M^level exactly; the number of entries is
-    the occupancy count Z_n.
+    ``words`` is an int32 Z x level array of letters, its rows distinct and in
+    ascending lexicographic order; ``counts`` holds the Z positive int64 path
+    counts, row by row, which sum to M^level exactly. Z is the count Z_n.
     """
 
-    level: int
     M: int
-    entries: dict[tuple[int, ...], int]
+    words: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError(f"level must be nonnegative, got {self.level}")
+        words, counts = self.words, self.counts
         if self.M < 2:
             raise ValueError(f"arity must be at least 2, got {self.M}")
-        total = 0
-        for word, count in self.entries.items():
-            if len(word) != self.level:
-                raise ValueError(f"word {word} has length {len(word)}, not {self.level}")
-            if count <= 0:
-                raise ValueError(f"count for {word} must be positive, got {count}")
-            total += count
+        if words.ndim != 2 or counts.shape != words.shape[:1]:
+            raise ValueError(f"need Z x level words, Z counts; got {words.shape}, {counts.shape}")
+        if counts.size and counts.min() <= 0:
+            raise ValueError(f"counts must be positive, got {counts.min()}")
+        total = counts.sum(dtype=object)  # in Python ints, as an int64 sum could wrap
         if total != self.M**self.level:
-            raise ValueError(
-                f"counts sum to {total}, expected M^level = {self.M**self.level}"
-            )
+            raise ValueError(f"counts sum to {total}, expected M^level = {self.M**self.level}")
+        if self.level:  # each row must rise above the one before at their first differing letter
+            step = np.diff(words, axis=0)
+            rise = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+            if np.any(rise <= 0):
+                raise ValueError(f"word row {np.argmax(rise <= 0) + 1} is not above the row before it")
+
+    @property
+    def level(self) -> int:
+        return self.words.shape[1]
 
     @classmethod
     def root(cls, M: int) -> "OccupancyMap":
-        return cls(0, M, {(): 1})
+        return cls(M, np.empty((1, 0), dtype=np.int32), np.ones(1, dtype=np.int64))
 
 
 def _tail_probs(p: np.ndarray) -> np.ndarray:
@@ -383,33 +388,32 @@ def _step(rng: np.random.Generator, size: int, p: np.ndarray, M: int, ws: _Works
 def evolve(occ: OccupancyMap, p: ProbVector, rng: np.random.Generator) -> OccupancyMap:
     """Advance an occupancy map one level under i.i.d. labels from ``p``.
 
-    For each entry (w, c) the M*c child paths split among the N one-letter
-    extensions of w by one multinomial(M*c, p) draw; the output drops zero
-    counts. Raises OverflowError once M^(level+1) no longer fits the 64-bit
-    path counters.
+    For each row w with count c the M*c child paths split among the N
+    one-letter extensions of w by one multinomial(M*c, p) draw; the output
+    drops zero counts and keeps (row, letter) order, so its rows ascend.
+    Raises OverflowError once M^(level+1) no longer fits the 64-bit counts.
     """
     if occ.M ** (occ.level + 1) > _INT64_MAX:
         raise OverflowError(
             "path counts overflow 64-bit at the next level; "
             "lower the depth or switch to trial sampling"
         )
-    words = list(occ.entries)
+    Z, N = occ.counts.size, p.N
     ws = _Workspace()
-    # entry indices as codes: child i*N + l is word i extended by letter l+1
-    ws.array("codes", len(words))[...] = np.arange(len(words))
-    ws.array("counts", len(words))[...] = np.fromiter(occ.entries.values(), np.int64, len(words))
-    size = _step(rng, len(words), p.as_array(), occ.M, ws)
-    N = p.N
-    entries = {
-        words[c // N] + (c % N + 1,): n
-        for c, n in zip(ws.array("codes", size).tolist(), ws.array("counts", size).tolist())
-    }
-    return OccupancyMap(occ.level + 1, occ.M, entries)
+    # row indices as codes: child i*N + l is row i extended by letter l+1
+    ws.array("codes", Z)[...] = np.arange(Z)
+    ws.array("counts", Z)[...] = occ.counts
+    size = _step(rng, Z, p.as_array(), occ.M, ws)
+    codes = ws.array("codes", size)
+    words = np.empty((size, occ.level + 1), dtype=np.int32)
+    words[:, :-1] = occ.words[codes // N]
+    words[:, -1] = codes % N + 1
+    return OccupancyMap(occ.M, words, ws.array("counts", size).copy())
 
 
 def z_n(occ: OccupancyMap) -> int:
     """Number of distinct occupied label words at the map's level."""
-    return len(occ.entries)
+    return occ.counts.size
 
 
 @dataclass(frozen=True)
@@ -678,11 +682,11 @@ def energy_estimate(occ: OccupancyMap, spec: IfsSpec, t: float, *, threads: int 
     at the level's scale r^n (the diagonal is excluded entirely), so it is a
     finite, diagnostic-only reading of the energy, not a convergent value.
 
-    The midpoints come from one ``interval`` call on the sorted words,
-    stacked as an int32 Z x level array. The summand is symmetric in the
-    pair, so only the upper triangle j > i is computed and doubled. Rows go
-    in tiles of ``_PAIR_TILE``, and a tile's partial sum is w_i . (D w_j)
-    over its rows i and the columns j >= i0 of its first row. A pool of
+    The midpoints come from one ``interval`` call on the map's int32 word
+    array, whose rows ascend. The summand is symmetric in the pair, so only
+    the upper triangle j > i is computed and doubled. Rows go in tiles of
+    ``_PAIR_TILE``, and a tile's partial sum is w_i . (D w_j) over its rows
+    i and the columns j >= i0 of its first row. A pool of
     ``threads`` workers maps over the tiles; the partials are added in tile
     order, so the result is the same double at every thread count. Each
     worker owns one buffer of ceil(_PAIR_TILE / workers) x Z doubles, so
@@ -701,19 +705,15 @@ def energy_estimate(occ: OccupancyMap, spec: IfsSpec, t: float, *, threads: int 
         raise ValueError(f"energy exponent must be positive, got {t}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    pairs = len(occ.entries) ** 2
-    if pairs > _PAIR_CAP:
+    Z = occ.counts.size
+    if Z**2 > _PAIR_CAP:
         raise _budget_error(
-            f"level {occ.level} energy needs Z^2 = {pairs} pairs", _PAIR_CAP, "_PAIR_CAP"
+            f"level {occ.level} energy needs Z^2 = {Z**2} pairs", _PAIR_CAP, "_PAIR_CAP"
         )
-    words = sorted(occ.entries.keys())
-    Z = len(words)
     if Z < 2:
         return 0.0
-    denominator = float(occ.M**occ.level)
-    weights = np.fromiter((occ.entries[w] / denominator for w in words), float, Z)
-    stack = np.fromiter(itertools.chain.from_iterable(words), np.int32, Z * occ.level)
-    mids = interval(spec, stack.reshape(Z, occ.level)).midpoint
+    weights = occ.counts / float(occ.M**occ.level)
+    mids = interval(spec, occ.words).midpoint
     ascending = bool(np.all(mids[1:] > mids[:-1]))
     starts = range(0, Z - 1, _PAIR_TILE)
     workers = min(threads, len(starts))

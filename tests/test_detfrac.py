@@ -158,6 +158,10 @@ class TestWordSets:
             for n in (2, 5, 9):
                 assert len(sft_words(L, n)) == sft_count(L, n)
 
+    def test_sft_words_of_long_words(self):
+        # 1000 letters, deeper than Python's default recursion limit
+        assert len(sft_words(900, 1000)) == sft_count(900, 1000) == 101
+
     def test_budget(self):
         with pytest.raises(BudgetError):
             sft_words(1, 40)

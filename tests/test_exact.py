@@ -51,6 +51,14 @@ class TestAProbability:
         with pytest.raises(ValueError):
             a_probability((), SYM, 2)
 
+    def test_fractional_symbol_rejected(self):
+        # refused, not truncated to the word (1,)
+        with pytest.raises(ValueError, match="label symbol 1.9 is not a whole number"):
+            a_probability([1.9], SYM, 2)
+        with pytest.raises(ValueError, match="label symbol 1.5 is not a whole number"):
+            brute_force_a((1, 1.5), SYM, 2)
+        assert a_probability([2.0], SKEW, 2) == a_probability((2,), SKEW, 2)
+
     def test_monotone_in_prefix(self):
         # extending a word can only make the event harder
         w = ()

@@ -6,6 +6,7 @@ structural invariants over random systems.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,39 @@ class TestStackedInterval:
         assert stack.left.tolist() == [0.0] * 3 and stack.length.tolist() == [1.0] * 3
         none = interval(THIRDS, np.empty((0, 4), dtype=np.int32))
         assert none.left.shape == none.length.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "word, bad",
+        [([1.7, 2], "1.7"), ((1, 2.5), "2.5"), (np.array([[1.0, 2.0], [2.0, 1.9]]), "1.9"),
+         ([1, math.nan], "nan"), ([math.inf], "inf")],
+    )
+    def test_fractional_symbol_is_refused(self, word, bad):
+        with pytest.raises(ValueError, match=rf"label symbol {bad} is not a whole number"):
+            interval(THIRDS, word)
+        if math.isfinite(float(np.ravel(word)[-1])):  # int() itself refuses nan and inf
+            with pytest.raises(ValueError, match=rf"label symbol {bad} is not a whole number"):
+                label_symbols(np.ravel(word).tolist(), 2)
+
+    def test_whole_floats_and_the_empty_word_are_read(self):
+        assert _bits(interval(THIRDS, [1.0, 2.0])) == _bits(interval(THIRDS, (1, 2)))
+        stack = interval(THIRDS, np.array([[1.0, 2.0], [2.0, 1.0]]))
+        want = interval(THIRDS, np.array([[1, 2], [2, 1]], dtype=np.int32))
+        assert stack.left.tolist() == want.left.tolist()
+        assert label_symbols([1.0, np.float64(2.0), np.int32(1)], 2) == (1, 2, 1)
+        assert label_symbols((), 2) == ()  # interval(spec, ()) is test_empty_words' case
+
+    def test_integer_stacks_are_not_copied(self):
+        # an int32 stack, as energy passes it, is read in place: no cast and no
+        # symbol-by-symbol check, each of which would allocate at least its size
+        words = np.ones((4096, 64), dtype=np.int32)
+        interval(THIRDS, words)  # warm up
+        tracemalloc.start()
+        try:
+            interval(THIRDS, words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < words.size
 
     def test_stack_of_more_than_two_dimensions_is_refused(self):
         with pytest.raises(ValueError, match="2-D stack"):

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorflip import (
     IfsSpec,
@@ -56,6 +58,22 @@ class TestProbVector:
             ProbVector((0.5, 0.6))
 
 
+def _occupancy(M, entries):
+    """An ``OccupancyMap`` whose rows are the label words of ``entries``, in dict order."""
+    words = np.array(list(entries), dtype=np.int32).reshape(len(entries), -1)
+    return OccupancyMap(M, words, np.array(list(entries.values()), dtype=np.int64))
+
+
+def _assert_invariants(occ):
+    """Rows are distinct, ascend as tuples and hold letters; counts sum to M^level."""
+    rows = [tuple(w) for w in occ.words.tolist()]
+    assert occ.words.dtype == np.int32 and occ.counts.dtype == np.int64
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert occ.words.size == 0 or occ.words.min() >= 1
+    assert occ.counts.min() >= 1
+    assert sum(occ.counts.tolist()) == occ.M**occ.level
+
+
 class TestEvolve:
     def test_mass_conservation(self):
         rng = np.random.default_rng(3)
@@ -63,13 +81,17 @@ class TestEvolve:
         for level in range(1, 7):
             occ = evolve(occ, SYM, rng=rng)
             assert occ.level == level
-            assert sum(occ.entries.values()) == 2**level
-            assert all(len(w) == level for w in occ.entries)
+            assert occ.words.shape == (z_n(occ), level)
+            _assert_invariants(occ)
 
     def test_arity_three(self):
         rng = np.random.default_rng(4)
         occ = evolve(OccupancyMap.root(3), SYM, rng=rng)
-        assert sum(occ.entries.values()) == 3
+        assert occ.counts.sum() == 3
+
+    def test_root(self):
+        occ = OccupancyMap.root(3)
+        assert (occ.level, z_n(occ), occ.words.shape, occ.counts.tolist()) == (0, 1, (1, 0), [1])
 
     def test_z_monotone_and_capped(self):
         rng = np.random.default_rng(5)
@@ -83,9 +105,58 @@ class TestEvolve:
 
     def test_counts_overflow_guard(self):
         # level-62 map: the next level's M^n leaves the int64 range
-        occ = OccupancyMap(62, 2, {(1,) * 62: 2**62})
+        occ = _occupancy(2, {(1,) * 62: 2**62})
         with pytest.raises(OverflowError):
             evolve(occ, SYM, rng=np.random.default_rng(0))
+
+    def test_duplicated_or_unordered_rows_raise(self):
+        words = np.array([[1, 1], [1, 2], [1, 2], [2, 1]], dtype=np.int32)
+        counts = np.ones(4, dtype=np.int64)
+        with pytest.raises(ValueError, match="row 2 is not above"):
+            OccupancyMap(2, words, counts)  # a duplicated row
+        with pytest.raises(ValueError, match="row 3 is not above"):
+            OccupancyMap(2, words[[0, 1, 3, 2]], counts)  # (2, 1) before (1, 2)
+        for entries in ({(2,): 1, (1,): 1}, {(1, 2): 2, (1, 1): 2}):  # descending rows
+            with pytest.raises(ValueError, match="row 1 is not above"):
+                _occupancy(2, entries)
+        OccupancyMap(2, words[[0, 1, 3]], np.array([1, 1, 2]))  # distinct and ascending
+
+    def test_bad_counts_shapes_and_arity_raise(self):
+        with pytest.raises(ValueError, match="counts sum to 3, expected M\\^level = 2"):
+            _occupancy(2, {(1,): 1, (2,): 2})
+        with pytest.raises(ValueError, match="counts must be positive"):
+            _occupancy(2, {(1,): 0, (2,): 2})
+        with pytest.raises(ValueError, match="arity must be at least 2"):
+            OccupancyMap(1, np.ones((1, 3), dtype=np.int32), np.ones(1, dtype=np.int64))
+        with pytest.raises(ValueError, match="Z x level words"):
+            OccupancyMap(2, np.ones(2, dtype=np.int32), np.ones(2, dtype=np.int64))
+        with pytest.raises(ValueError, match="Z x level words"):
+            OccupancyMap(2, np.ones((2, 1), dtype=np.int32), np.ones(3, dtype=np.int64))
+        # three counts whose int64 sum wraps round to exactly M^level = 2
+        big = (1 << 63) - 1
+        counts = np.array([big, big, 4], dtype=np.int64)
+        with pytest.raises(ValueError, match=f"counts sum to {2 * big + 4}"):
+            OccupancyMap(2, np.array([[1], [2], [3]], dtype=np.int32), counts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda N: st.lists(st.floats(0.05, 1.0), min_size=N, max_size=N)
+        ),
+        st.integers(2, 3),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+    )
+    def test_evolve_matches_dict_reference_property(self, weights, M, seed, levels):
+        p = ProbVector(tuple(w / math.fsum(weights) for w in weights))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        occ = ref = OccupancyMap.root(M)
+        for _ in range(levels):
+            occ = evolve(occ, p, rng=rng)
+            ref = _dict_evolve(ref, p, ref_rng)
+            assert occ.words.tolist() == ref.words.tolist()
+            assert occ.counts.tolist() == ref.counts.tolist()
+            _assert_invariants(occ)
 
 
 class TestRunTrials:
@@ -267,17 +338,16 @@ def _dense_block_z(rng, parr, M, depth, size, union):
 
 
 def _dict_evolve(occ, p, rng):
-    """Reference level step over a dict of label-word tuples, in dict order."""
-    words = list(occ.entries)
-    counts = np.fromiter((occ.entries[w] for w in words), dtype=np.int64, count=len(words))
-    splits = stochastic._multinomial_split(rng, occ.M * counts, p.as_array())
+    """Reference level step over a dict of label-word tuples, row by row."""
+    words = [tuple(w) for w in occ.words.tolist()]
+    splits = stochastic._multinomial_split(rng, occ.M * occ.counts, p.as_array())
     entries = {}
     for i, w in enumerate(words):
         for l in range(p.N):
             c = int(splits[i, l])
             if c > 0:
                 entries[w + (l + 1,)] = c
-    return OccupancyMap(occ.level + 1, occ.M, entries)
+    return _occupancy(occ.M, entries)
 
 
 def _inversion_limit(ratio):
@@ -501,13 +571,8 @@ class TestKernelOracles:
         for _ in range(6):
             occ = evolve(occ, p, rng=rng)
             ref = _dict_evolve(ref, p, ref_rng)
-            assert list(occ.entries.items()) == list(ref.entries.items())
-
-    def test_evolve_keeps_dict_order_of_its_input(self):
-        occ = OccupancyMap(1, 2, {(2,): 1, (1,): 1})
-        got = evolve(occ, SYM, rng=np.random.default_rng(8))
-        want = _dict_evolve(occ, SYM, np.random.default_rng(8))
-        assert list(got.entries.items()) == list(want.entries.items())
+            assert occ.words.tolist() == ref.words.tolist()
+            assert occ.counts.tolist() == ref.counts.tolist()
 
 
 # (p, M, depth, trials, seed) in run order: one trial a block (2^17 > _BLOCK_ENTRIES)
@@ -631,11 +696,12 @@ class TestEstimateDim:
 
 def _full_matrix_energy(occ, spec, t):
     """The full-matrix pair sum the tiled sum replaced: every ordered pair."""
-    words = sorted(occ.entries.keys())
+    entries = dict(zip(map(tuple, occ.words.tolist()), occ.counts.tolist()))
+    words = sorted(entries)
     if len(words) < 2:
         return 0.0
     denominator = float(occ.M**occ.level)
-    weights = np.asarray([occ.entries[w] / denominator for w in words])
+    weights = np.asarray([entries[w] / denominator for w in words])
     mids = np.asarray([interval(spec, w).midpoint for w in words])
     total = 0.0
     block = 512
@@ -651,7 +717,7 @@ def _full_matrix_energy(occ, spec, t):
 
 def _double_loop_energy(occ, spec, t):
     mass = occ.M**occ.level
-    items = [(interval(spec, w).midpoint, c / mass) for w, c in occ.entries.items()]
+    items = [(interval(spec, w).midpoint, c / mass) for w, c in zip(occ.words.tolist(), occ.counts.tolist())]
     return math.fsum(
         wi * wj * abs(xi - xj) ** -t
         for i, (xi, wi) in enumerate(items)
@@ -665,8 +731,9 @@ def _random_occupancy(N, level, Z, seed):
     rng = np.random.default_rng(seed)
     codes = rng.choice(N**level, size=Z, replace=False)
     counts = 1 + rng.multinomial(N**level - Z, np.full(Z, 1.0 / Z))
-    words = [tuple(int(d) + 1 for d in np.base_repr(c, N).zfill(level)) for c in codes]
-    return OccupancyMap(level, N, dict(zip(words, counts.tolist())))
+    order = np.argsort(codes)  # ascending codes give ascending words; each keeps its count
+    words = [[int(d) + 1 for d in np.base_repr(c, N).zfill(level)] for c in codes[order]]
+    return OccupancyMap(N, np.array(words, dtype=np.int32), counts[order])
 
 
 _TILE = stochastic._PAIR_TILE
@@ -712,7 +779,7 @@ class TestEnergy:
             sys.setswitchinterval(interval)
 
     def test_threads_below_one_raise(self):
-        occ = OccupancyMap(1, 2, {(1,): 1, (2,): 1})
+        occ = _occupancy(2, {(1,): 1, (2,): 1})
         with pytest.raises(ValueError, match="threads must be at least 1"):
             energy_estimate(occ, THIRDS_SPEC, 0.5, threads=0)
 
@@ -733,7 +800,7 @@ class TestEnergy:
 
     def test_two_interval_anchor(self):
         # intervals [0,1/3] and [2/3,1]: midpoints 1/6 and 5/6, weights 1/2
-        occ = OccupancyMap(1, 2, {(1,): 1, (2,): 1})
+        occ = _occupancy(2, {(1,): 1, (2,): 1})
         t = 0.5
         expect = 2 * 0.25 * (2 / 3) ** (-t)
         assert energy_estimate(occ, THIRDS_SPEC, t) == pytest.approx(expect, rel=1e-12)
@@ -756,13 +823,13 @@ class TestEnergy:
         # 2^15 occupied words: 2^30 pairs exceed the 2^28 cap before any work
         import itertools
 
-        words = itertools.product((1, 2), repeat=15)
-        occ = OccupancyMap(15, 2, dict.fromkeys(words, 1))
+        words = np.array(list(itertools.product((1, 2), repeat=15)), dtype=np.int32)
+        occ = OccupancyMap(2, words, np.ones(len(words), dtype=np.int64))
         with pytest.raises(BudgetError, match="_PAIR_CAP"):
             energy_estimate(occ, THIRDS_SPEC, 0.5)
 
     def test_single_interval_has_no_offdiagonal_energy(self):
-        occ = OccupancyMap(1, 2, {(1,): 2})
+        occ = _occupancy(2, {(1,): 2})
         assert energy_estimate(occ, THIRDS_SPEC, 0.5) == 0.0
 
     def test_one_interval_call_per_level(self, monkeypatch):
@@ -786,7 +853,7 @@ class TestEnergy:
         assert len(shapes) >= 5
         assert calls == shapes
         calls.clear()
-        energy_estimate(OccupancyMap(1, 2, {(1,): 2}), THIRDS_SPEC, 0.5)
+        energy_estimate(_occupancy(2, {(1,): 2}), THIRDS_SPEC, 0.5)
         assert calls == []
 
 
