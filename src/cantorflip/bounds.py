@@ -12,7 +12,7 @@ known exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .stochastic import ProbVector
 
@@ -52,21 +52,12 @@ class BoundsReport:
     exact_reason: str | None
 
     def to_dict(self) -> dict:
-        return {
-            "p": list(self.p),
-            "M": self.M,
-            "r": self.r,
-            "lower": self.lower,
-            "upper": self.upper,
-            "trivial_upper": self.trivial_upper,
-            "sandwich": self.sandwich,
-            "entropy_threshold": self.entropy_threshold,
-            "geometric_threshold": self.geometric_threshold,
-            "lambda": self.lam,
-            "lambda_degenerate": self.lam_degenerate,
-            "exact": self.exact,
-            "exact_reason": self.exact_reason,
-        }
+        """The fields by name, with ``p`` a list and ``lam*`` spelled ``lambda*``."""
+        d = asdict(self)
+        d["p"] = list(self.p)
+        d["lambda"] = d.pop("lam")
+        d["lambda_degenerate"] = d.pop("lam_degenerate")
+        return d
 
 
 def _check_ratio(N: int, r: float) -> None:

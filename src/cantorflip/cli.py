@@ -12,12 +12,12 @@ resolved parameter dict (defaults, then the JSON config, then explicit
 flags) are all generated from it, so a config accepts exactly the fields
 its subcommand's flags set, plus ``mode`` and, for simulate and energy, the
 ``ifs`` geometry. CSV output uses '.' decimals, ',' separators, a header
-row, and 9 significant digits; CSV and the exact tables' JSON lists are
-written row by row.
+row, and 9 significant digits. The row tables (table1, figure1, exact) are
+written row by row, as CSV or as one JSON list.
 
-CANTORFLIP_THREADS sets the worker threads: ``energy`` defaults to the
-usable CPUs and ``simulate`` to 1, and neither runs more workers than there
-are usable CPUs. The thread count changes only the speed, never an output.
+``energy`` runs one worker thread per usable CPU (the CPU affinity mask, so
+``taskset`` limits it) and ``simulate`` runs 1. The thread count changes
+only the speed, never an output.
 """
 
 from __future__ import annotations
@@ -106,6 +106,14 @@ def _write_csv(header: str, rows, out: str | None) -> None:
             f.write(",".join([v if isinstance(v, str) else _fmt(v) for v in row]) + "\n")
 
 
+def _write_table(keys: tuple[str, ...], rows, params: dict) -> None:
+    """Write ``rows``, tuples in the order of ``keys``, as CSV or a JSON list of dicts."""
+    if params["format"] == "json":
+        _write_json_rows((dict(zip(keys, row)) for row in rows), params.get("out"))
+    else:
+        _write_csv(",".join(keys), rows, params.get("out"))
+
+
 def _config_hash(resolved: dict) -> str:
     blob = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -116,24 +124,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _threads(default: int | None) -> int:
-    """CANTORFLIP_THREADS when set, else ``default`` (None: the usable CPUs).
-
-    Capped at the usable CPUs: a worker past them adds memory, not speed.
-    """
-    cpus = _usable_cpus()
-    raw = os.environ.get("CANTORFLIP_THREADS", "").strip()
-    if not raw:
-        return min(default or cpus, cpus)
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ValueError(f"CANTORFLIP_THREADS must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise ValueError(f"CANTORFLIP_THREADS must be at least 1, got {threads}")
-    return min(threads, cpus)
 
 
 def _prob_vector(params: dict, N: int | None) -> ProbVector:
@@ -192,14 +182,7 @@ def cmd_table1(params: dict) -> int:
         p = 1.0 / m
         report = classify(ProbVector((p, 1.0 - p)), 2, r)
         rows.append((m, p, report.lower, dim_Fm(m, r), report.upper))
-    if params["format"] == "json":
-        doc = [
-            {"m": m, "p": p, "lower": lo, "dim_Fm": d, "upper": up}
-            for m, p, lo, d, up in rows
-        ]
-        _emit(_json_doc(doc), params.get("out"))
-    else:
-        _write_csv("m,p,lower,dim_Fm,upper", rows, params.get("out"))
+    _write_table(("m", "p", "lower", "dim_Fm", "upper"), rows, params)
     return 0
 
 
@@ -212,11 +195,7 @@ def cmd_figure1(params: dict) -> int:
         p = k / (grid + 1.0)
         vec = ProbVector((p, 1.0 - p))
         rows.append((p, lower_bound(vec, 2, r), upper_bound(vec, 2, r)))
-    if params["format"] == "json":
-        doc = [{"p": p, "lower": lo, "upper": up} for p, lo, up in rows]
-        _emit(_json_doc(doc), params.get("out"))
-    else:
-        _write_csv("p,lower,upper", rows, params.get("out"))
+    _write_table(("p", "lower", "upper"), rows, params)
     return 0
 
 
@@ -227,7 +206,7 @@ def cmd_simulate(params: dict) -> int:
     # checked before the trials run, which can take minutes
     if not 0 <= window[0] < window[1] <= depth:
         raise ValueError(f"window {list(window)} needs 0 <= lo < hi <= depth = {depth}")
-    stats = run_trials(spec, p, M, depth, trials, seed, threads=_threads(1))
+    stats = run_trials(spec, p, M, depth, trials, seed)
     estimate = estimate_dim(stats.z_union, spec.r, window)
     resolved = {
         "N": p.N,
@@ -276,23 +255,16 @@ def cmd_simulate(params: dict) -> int:
 
 
 def cmd_exact(params: dict) -> int:
-    fmt, out = params["format"], params.get("out")
     if params["table"] == "pi":
         seq = pi_sequence(params["N"], params["M"], params.get("n_max", 30))
-        if fmt == "json":
-            _write_json_rows(({"n": n, "pi": v} for n, v in enumerate(seq.values)), out)
-        else:
-            _write_csv("n,pi", enumerate(seq.values), out)
+        _write_table(("n", "pi"), enumerate(seq.values), params)
     else:
         p, M = _prob_vector(params, params.get("N")), params["M"]
         rows = [
             (n, expected_zn(p, M, n), multinomial_bound(p, M, n))
             for n in range(params.get("n_max", 10) + 1)
         ]
-        if fmt == "json":
-            _write_json_rows(({"n": n, "value": v, "bound": b} for n, v, b in rows), out)
-        else:
-            _write_csv("n,value,bound", rows, out)
+        _write_table(("n", "value", "bound"), rows, params)
     return 0
 
 
@@ -335,7 +307,7 @@ def cmd_energy(params: dict) -> int:
     p, spec = _geometry(params)
     M, depth, seed = params["M"], params["depth"], params["master_seed"]
     t = params["t"] if "t" in params else 0.5 * lower_bound(p, M, spec.r)
-    threads = _threads(None)
+    threads = _usable_cpus()
     rng = np.random.default_rng(seed)
     occ = OccupancyMap.root(M)
     rows = []

@@ -139,7 +139,10 @@ def label_symbols(w: Sequence[int], N: int) -> tuple[int, ...]:
     """The symbols of a label word, checked to be whole numbers in the alphabet {1..N}."""
     symbols = []
     for s in w:
-        symbol = int(s)
+        try:
+            symbol = int(s)
+        except (OverflowError, ValueError):  # inf and nan have no int
+            symbol = None
         if symbol != s:
             raise ValueError(f"label symbol {s} is not a whole number")
         if not 1 <= symbol <= N:

@@ -4,6 +4,7 @@ Most cases drive ``main()`` in-process and inspect captured stdout; a
 single subprocess test covers the installed entry point.
 """
 
+import ast
 import hashlib
 import json
 import math
@@ -191,24 +192,41 @@ class TestExact:
 
 
     # zn stops at 12: n_max 30 is over its word cap (next test)
+    # n_max is the last n of an exact table and the grid of figure1
     @pytest.mark.parametrize(
-        "table,n_max", [("pi", 0), ("pi", 1), ("pi", 30), ("zn", 0), ("zn", 1), ("zn", 12)]
+        "table,n_max",
+        [("pi", 0), ("pi", 1), ("pi", 30), ("zn", 0), ("zn", 1), ("zn", 12),
+         ("table1", None), ("figure1", 3), ("figure1", 99)],
     )
     def test_json_is_written_row_by_row_as_one_document(self, capsys, tmp_path, table, n_max):
-        from cantorflip import ProbVector, expected_zn, multinomial_bound, pi_sequence
+        from cantorflip import (
+            ProbVector, classify, dim_Fm, expected_zn, lower_bound, multinomial_bound,
+            pi_sequence, upper_bound,
+        )
 
+        argv = ["exact", "--table", table, "--N", "2", "--M", "2", "--n-max", str(n_max),
+                "--format", "json"]
         if table == "pi":
             doc = [{"n": n, "pi": v} for n, v in enumerate(pi_sequence(2, 2, n_max).values)]
-        else:
+        elif table == "zn":
             p = ProbVector((0.3, 0.7))
             doc = [
                 {"n": n, "value": expected_zn(p, 2, n), "bound": multinomial_bound(p, 2, n)}
                 for n in range(n_max + 1)
             ]
-        argv = ["exact", "--table", table, "--N", "2", "--M", "2", "--n-max", str(n_max),
-                "--format", "json"]
-        if table == "zn":
             argv += ["--p", "0.3,0.7"]
+        elif table == "table1":
+            doc = []
+            for m in cli.TABLE1_PERIODS:
+                report = classify(ProbVector((1 / m, 1 - 1 / m)), 2, 1 / 3)
+                doc.append({"m": m, "p": 1 / m, "lower": report.lower,
+                            "dim_Fm": dim_Fm(m, 1 / 3), "upper": report.upper})
+            argv = ["table1", "--format", "json"]
+        else:
+            vecs = [ProbVector((k / (n_max + 1), 1 - k / (n_max + 1))) for k in range(1, n_max + 1)]
+            doc = [{"p": v.values[0], "lower": lower_bound(v, 2, 1 / 3),
+                    "upper": upper_bound(v, 2, 1 / 3)} for v in vecs]
+            argv = ["figure1", "--grid", str(n_max), "--format", "json"]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out == cli._json_doc(doc)
@@ -501,6 +519,39 @@ class TestEnergyDigests:
         assert hashlib.sha256(out.encode()).hexdigest() == REFLECTED_ENERGY_DIGESTS[fmt]
 
 
+# sha256 of the JSON row tables and bounds reports, pinned from the
+# whole-document writers that the row-by-row table writer and the
+# field-driven BoundsReport.to_dict replaced
+DOCUMENT_DIGESTS = {
+    "table1 --format json":
+        "ec20c0c60f8f43b5ddcd83bc29455a21c5bfb6a4edb5f0977fab3a13df099084",
+    "figure1 --grid 999 --format json":
+        "f140847ab457a6e9eb92c3976c827d528aee24ad3ee2b109b81776fb283800a4",
+    "figure1 --format json --r 0.25":
+        "fce703c1f20fb5ed8f7fda2dc9a94b76d802cd1fc1574edc5cc5d72c4873f910",
+    "exact --table zn --p 0.3,0.7 --M 2 --n-max 12 --format json":
+        "ab8a7ad583f8bc679709f20df342e34872a89cbbd196b08bc7cfe0e01ad40838",
+    "exact --table pi --N 2 --M 3 --n-max 50 --format json":
+        "a836e27be938c357ffee60530f21de69b58fcd73e103793f7fa1e9b49a7cb7cb",
+    "bounds --p 0.3,0.7 --M 2":
+        "c65d4a3137712c9ac32cf06946d869df80c91c75e942959a9a1acda1ee5ba7f6",
+    "bounds --N 3 --M 5":
+        "f3ee88a836efbfee412f6a4e10018459b5eccc7763724de93cd693d40394c868",
+    "bounds --p 0.2,0.3,0.5 --M 3 --r 0.2":
+        "9a8f797fbd7b3a998ca230d9971247af2c21c9057eb2abf66eb6892dbe250e9c",
+}
+
+
+@pytest.mark.parametrize("line", sorted(DOCUMENT_DIGESTS))
+def test_document_digest_to_stdout_and_out(capsys, tmp_path, line):
+    code, out, _ = run_cli(capsys, *line.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DOCUMENT_DIGESTS[line]
+    code, _, _ = run_cli(capsys, *line.split(), "--out", str(tmp_path / "out.json"))
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == DOCUMENT_DIGESTS[line]
+
+
 class TestFailures:
     def test_bad_probabilities_exit_2(self, capsys):
         code, _, err = run_cli(
@@ -605,17 +656,6 @@ def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
 
 
-def test_energy_threads_env_var(capsys, monkeypatch):
-    argv = ENERGY_ARGS + ("--seed", "1")
-    monkeypatch.setenv("CANTORFLIP_THREADS", "1")
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    # energy defaults to the usable CPUs; one thread must print the same bytes
-    monkeypatch.delenv("CANTORFLIP_THREADS")
-    _, out_default, _ = run_cli(capsys, *argv)
-    assert out == out_default
-
-
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Two usable CPUs, and the max_workers of every pool the stochastic layer starts."""
@@ -630,11 +670,12 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(stochastic, "ThreadPoolExecutor", Spy)
-    monkeypatch.delenv("CANTORFLIP_THREADS", raising=False)
     return sizes
 
 
-# three blocks of 16 trials; an energy level past 64 words has two tiles or more
+# three blocks of 16 trials; an energy level past 64 words has two tiles or more.
+# CANTORFLIP_THREADS, once a worker-count knob, is set in some cases to show
+# that it is ignored: simulate runs 1 worker, energy one per usable CPU.
 POOLED_SIMULATE = ("simulate", "--M", "2", "--p", "0.5,0.5", "--depth", "12", "--trials", "40")
 POOLED_ENERGY = ("energy", "--N", "2", "--M", "2", "--p", "0.5,0.5", "--depth", "8", "--seed", "3")
 
@@ -642,11 +683,11 @@ POOLED_ENERGY = ("energy", "--N", "2", "--M", "2", "--p", "0.5,0.5", "--depth", 
 @pytest.mark.parametrize(
     "env,argv,sizes",
     [
-        ("64", POOLED_SIMULATE, {2}),
+        ("64", POOLED_SIMULATE, set()),
         (None, POOLED_SIMULATE, set()),
         ("64", POOLED_ENERGY, {2}),
         (None, POOLED_ENERGY, {2}),
-        ("1", POOLED_ENERGY, set()),
+        ("1", POOLED_ENERGY, {2}),
     ],
     ids=["simulate-64", "simulate-unset", "energy-64", "energy-unset", "energy-1"],
 )
@@ -660,18 +701,28 @@ def test_worker_count_is_capped_at_the_usable_cpus(capsys, monkeypatch, pool_siz
 
 def test_usable_cpus_fall_back_to_cpu_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.delenv("CANTORFLIP_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert (cli._threads(None), cli._threads(1)) == (2, 1)
+    assert cli._usable_cpus() == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert cli._threads(None) == 1
+    assert cli._usable_cpus() == 1
 
 
-def test_threads_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("CANTORFLIP_THREADS", "2")
-    code, out, _ = run_cli(capsys, *TestSimulate.ARGS)
-    assert code == 0
-    # parallel run must match the serial output exactly
-    monkeypatch.delenv("CANTORFLIP_THREADS")
-    _, out_serial, _ = run_cli(capsys, *TestSimulate.ARGS)
-    assert out == out_serial
+_ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_package_reads_no_environment_variable():
+    # outputs and worker counts follow from flags, configs and the CPU affinity
+    # mask alone; a knob read from the environment would bring that back
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n in _ENVIRONMENT_NAMES]
+    assert found == []
