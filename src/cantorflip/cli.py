@@ -154,24 +154,14 @@ def _geometry(params: dict) -> tuple[ProbVector, IfsSpec]:
 def cmd_bounds(params: dict) -> int:
     p = _prob_vector(params, params.get("N"))
     report = classify(p, params["M"], params["r"])
+    doc = report.to_dict()
     if params["format"] == "csv":
-        row = [
-            ";".join(_fmt(x) for x in report.p),
-            report.M,
-            report.r,
-            report.lower,
-            report.upper,
-            report.trivial_upper,
-            report.sandwich,
-            report.lam,
-            "1" if report.lam_degenerate else "0",
-            report.exact,
-            report.exact_reason or "",
-        ]
-        header = "p,M,r,lower,upper,trivial_upper,sandwich,lambda,lambda_degenerate,exact,exact_reason"
-        _write_csv(header, [row], params.get("out"))
+        keys = ("p", "M", "r", "lower", "upper", "trivial_upper", "sandwich",
+                "lambda", "lambda_degenerate", "exact", "exact_reason")
+        doc["p"] = ";".join(_fmt(x) for x in report.p)
+        _write_csv(",".join(keys), [[doc[k] for k in keys]], params.get("out"))
     else:
-        _emit(_json_doc(report.to_dict()), params.get("out"))
+        _emit(_json_doc(doc), params.get("out"))
     return 0
 
 
@@ -227,29 +217,17 @@ def cmd_simulate(params: dict) -> int:
         "depth": depth,
         "config_sha256": _config_hash(resolved),
     }
-    levels = [
-        {
-            "level": k,
-            "z_mean": stats.z_mean[k],
-            "z_var": stats.z_var[k],
-            "z_min": stats.z_min[k],
-            "z_max": stats.z_max[k],
-            "z_union": stats.z_union[k],
-        }
-        for k in range(depth + 1)
-    ]
+    keys = ("level", "z_mean", "z_var", "z_min", "z_max", "z_union")
+    rows = list(zip(range(depth + 1), *(getattr(stats, k) for k in keys[1:])))
     out = params.get("out")
-    if params["format"] == "csv":
-        rows = [
-            (k, stats.z_mean[k], stats.z_var[k], stats.z_min[k], stats.z_max[k])
-            for k in range(depth + 1)
-        ]
-        _write_csv("level,z_mean,z_var,z_min,z_max", rows, out)
+    if params["format"] == "csv":  # the CSV leaves out z_union
+        _write_csv(",".join(keys[:-1]), [row[:-1] for row in rows], out)
         if out:
             Path(out + ".summary.json").write_text(_json_doc(summary))
         else:
             sys.stderr.write(_json_doc(summary))
     else:
+        levels = [dict(zip(keys, row)) for row in rows]
         _emit(_json_doc({"summary": summary, "levels": levels}), out)
     return 0
 
@@ -310,6 +288,7 @@ def cmd_energy(params: dict) -> int:
     threads = _usable_cpus()
     rng = np.random.default_rng(seed)
     occ = OccupancyMap.root(M)
+    keys = ("level", "energy", "scale")
     rows = []
     stopped = None
     for level in range(1, depth + 1):
@@ -325,13 +304,11 @@ def cmd_energy(params: dict) -> int:
             "t": t,
             "master_seed": seed,
             "note": "diagnostic only; truncated at each level's interval scale",
-            "rows": [
-                {"level": lv, "energy": e, "scale": sc} for lv, e, sc in rows
-            ],
+            "rows": [dict(zip(keys, row)) for row in rows],
         }
         _emit(_json_doc(doc), params.get("out"))
     else:
-        _write_csv("level,energy,scale", rows, params.get("out"))
+        _write_csv(",".join(keys), rows, params.get("out"))
     if stopped is not None:
         raise stopped
     return 0

@@ -15,6 +15,7 @@ tested against something that cannot share their bugs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -252,7 +253,10 @@ def expected_zn(p: ProbVector, M: int, n: int) -> float:
     """Exact E[Z_n]: the sum of a_probability over all N^n label words.
 
     Computed by evolving the full vector of a-values one prefix letter at a
-    time, so the cost is the output size N^n, not N^n recursion calls.
+    time, so the cost is the output size N^n, not N^n recursion calls. Each
+    level's ufuncs run in place on its one array, and ``math.fsum`` reads it
+    in ``_CHUNK``-sized pieces; the exact sum does not depend on how it is
+    split.
     """
     if M < 2:
         raise ValueError(f"arity must be at least 2, got {M}")
@@ -264,9 +268,15 @@ def expected_zn(p: ProbVector, M: int, n: int) -> float:
         return 1.0
     parr = p.as_array()
     values = np.ones(1, dtype=np.float64)
-    for _ in range(n):
-        values = -np.expm1(M * np.log1p(-np.outer(parr, values).reshape(-1)))
-    return math.fsum(values.tolist())
+    for _ in range(n):  # values = -expm1(M * log1p(-outer(p, values)))
+        values = np.outer(parr, values).reshape(-1)
+        np.negative(values, out=values)
+        np.log1p(values, out=values)
+        np.multiply(values, M, out=values)
+        np.expm1(values, out=values)
+        np.negative(values, out=values)
+    pieces = (values[i : i + _CHUNK].tolist() for i in range(0, values.size, _CHUNK))
+    return math.fsum(itertools.chain.from_iterable(pieces))
 
 
 def _compositions(n: int, parts: int):

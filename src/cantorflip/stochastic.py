@@ -12,9 +12,11 @@ the one implementation of that level step: it works on int64 word codes and
 path counts, the children of code c being c*N + l, so sorted parents give
 sorted children and the state stays linear in the number of distinct words
 rather than in the number of paths or of possible words. The step runs in
-a ``_Workspace``: grow-only arrays that hold the level's entries and every
-temporary of its draws, which each block worker keeps for all its blocks,
-so once its largest level has run a worker allocates no state-sized array.
+a ``_Workspace``: typed, grow-only arrays that hold the level's entries and
+every temporary of its draws. Every kernel function takes its caller's
+workspace, and ``_ordered_map`` hands each worker one for all the items it
+runs, so once its largest level has run a worker allocates no state-sized
+array.
 
 ``evolve`` advances an ``OccupancyMap``, a level's words as an int32 array
 with their path counts, by one ``_step`` whose codes are the row indices.
@@ -200,39 +202,29 @@ def _inversion_table(ratio: float) -> _InversionTable:
     return _InversionTable(flip, int(n[-1]), shift, cdf, guide)
 
 
-class _Workspace:
-    """Grow-only buffers that one block worker reuses for every level it runs.
+class _Workspace(dict):
+    """Typed, grow-only arrays, by role, that one worker reuses for every item it runs.
 
-    ``array(name, size, dtype)`` returns the first ``size`` items of buffer
+    ``array(name, size, dtype)`` returns the first ``size`` items of array
     ``name``, reallocated only when it is too small, so once a worker has run
-    its largest level no later level allocates a state-sized array. A fresh
-    workspace allocates every array it hands out; callers without one make
-    one. Roles whose lifetimes do not overlap share a buffer: "codes" and
-    "counts" hold a level's entries, which its outputs overwrite, and
-    "counts" holds a column's uniforms while the level's draws run;
-    "splits" holds the multinomial columns; "rows" is a column's draw
+    its largest level no later level allocates a state-sized array. A role's
+    array keeps the dtype it was made with and is viewed as ``dtype``, which
+    must have the same item size. Roles whose lifetimes do not overlap share
+    an array: "codes" and "counts" hold a level's entries, which its outputs
+    overwrite, and "counts" holds a column's uniforms while the level's draws
+    run; "splits" holds the multinomial columns; "rows" is a column's draw
     scratch, then the level's input codes while it is compacted; "inverted"
-    and "walk" are a column's flags, and "piece" and "kids" one piece of
-    the compaction.
+    and "walk" are a column's flags, and "piece" and "kids" one piece of the
+    compaction. The energy pair sum keeps its pass rows in "tile".
     """
 
-    def __init__(self) -> None:
-        self._buffers: dict[str, np.ndarray] = {}
-        self._views: dict[tuple[str, type], np.ndarray] = {}  # whole buffers, typed
-
     def array(self, name: str, size: int, dtype=np.int64) -> np.ndarray:
-        view = self._views.get((name, dtype))
-        if view is None or view.size < size:
-            del view  # held through a growth, it would keep the old buffer alive
-            nbytes = size * np.dtype(dtype).itemsize
-            if name not in self._buffers or self._buffers[name].size < nbytes:
-                # drop the old buffer and its views before allocating the new one
-                self._views = {key: v for key, v in self._views.items() if key[0] != name}
-                self._buffers.pop(name, None)
-                # whole 8-byte words, so every dtype can view the buffer
-                self._buffers[name] = np.empty(-(-nbytes // 8) * 8, dtype=np.uint8)
-            view = self._views[name, dtype] = self._buffers[name].view(dtype)
-        return view[:size]
+        if name not in self or self[name].size < size:
+            self.pop(name, None)  # drop the old array before allocating the new one
+            self[name] = np.empty(size, dtype)
+        head = self[name][:size]
+        # most calls ask for the role's own dtype, and a .view costs about 0.5 us
+        return head if head.dtype == dtype else head.view(dtype)
 
 
 def _invert(
@@ -270,11 +262,7 @@ def _invert(
 
 
 def _binomial(
-    rng: np.random.Generator,
-    n: np.ndarray,
-    ratio: float,
-    out: np.ndarray | None = None,
-    ws: _Workspace | None = None,
+    rng: np.random.Generator, n: np.ndarray, ratio: float, out: np.ndarray, ws: _Workspace
 ) -> np.ndarray:
     """Binomial(n_i, ratio) for every entry of the int64 array ``n``, into ``out``.
 
@@ -283,12 +271,10 @@ def _binomial(
     against ``_inversion_table(ratio)``, in entry order. Then the remaining
     entries with n >= 1 go to ``Generator.binomial``, in entry order. Entries
     with n = 0 draw nothing and give 0. ``out`` is a contiguous int64 array
-    of n's length, allocated when not given. The uniforms go to the
-    "counts" buffer of ``ws``, so ``n`` and ``out`` must lie elsewhere.
+    of n's length. The uniforms go to the "counts" array of ``ws``, so ``n``
+    and ``out`` must lie elsewhere; redraws reuse its "rows" and "walk".
     """
-    ws = _Workspace() if ws is None else ws
     table = _inversion_table(float(ratio))
-    out = np.empty(n.size, dtype=np.int64) if out is None else out
     u = ws.array("counts", n.size, np.float64)
     inverted = ws.array("inverted", n.size, bool)
     if n.size and n.min() >= 1 and n.max() <= table.last:
@@ -303,7 +289,7 @@ def _binomial(
     again = _invert(table, n, u, out, ws)
     while again.size:  # numpy redraws at once; here the redraws follow the column's draws
         redrawn = np.empty(again.size, dtype=np.int64)
-        back = _invert(table, n[again], rng.random(again.size), redrawn, _Workspace())
+        back = _invert(table, n[again], rng.random(again.size), redrawn, ws)
         out[again] = redrawn
         again = again[back]
     if table.flip:
@@ -316,7 +302,7 @@ def _binomial(
 
 
 def _multinomial_split(
-    rng: np.random.Generator, n: np.ndarray, p: np.ndarray, ws: _Workspace | None = None
+    rng: np.random.Generator, n: np.ndarray, p: np.ndarray, ws: _Workspace
 ) -> np.ndarray:
     """Exact multinomial(n_i, p) draw for every entry of ``n``, as a len(n) x N array.
 
@@ -330,9 +316,8 @@ def _multinomial_split(
     draw ``rng.binomial(rem, ratio)`` would make, from the same uniforms.
     The result is a transposed view of one N x len(n) array, so each column
     is drawn in place. ``n`` is read once, before any draw, so it may be the
-    "counts" buffer of ``ws``, which the draws then reuse.
+    "counts" array of ``ws``, which the draws then reuse.
     """
-    ws = _Workspace() if ws is None else ws
     n = np.asarray(n, dtype=np.int64)
     N = p.shape[0]
     tails = _tail_probs(p)
@@ -455,7 +440,7 @@ def _block_z(
     master_seed: int,
     block: int,
     size: int,
-    ws: _Workspace | None = None,
+    ws: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial Z at levels 0..depth, and the level-depth words, of one block.
 
@@ -463,11 +448,10 @@ def _block_z(
     j*N^k + word and entries stay ordered by (trial, word). Returns an int64
     array of shape (depth + 1, size) and the int64 words (codes mod N^depth)
     that the block's trials occupy at level depth, each trial's ascending.
-    Every level runs in ``ws``, which the worker passes to its next block:
-    the words are a view of its "codes" buffer, valid until ``ws`` is used
-    again. Without one, the block allocates its arrays afresh.
+    Every level runs in ``ws``, the worker's workspace, which it passes to
+    its next block: the words are a view of its "codes" array, valid until
+    ``ws`` is used again.
     """
-    ws = _Workspace() if ws is None else ws
     N = p.shape[0]
     rng = _trial_rng(master_seed, block)
     ws.array("codes", size)[...] = np.arange(size)
@@ -489,20 +473,32 @@ def _block_trials(N: int, M: int, depth: int) -> int:
 
 
 def _ordered_map(fn: Callable, items: Sequence, workers: int) -> Iterator:
-    """``fn`` of each item, yielded in item order.
+    """``fn(item, ws)`` of each item, yielded in item order.
 
-    Serial for 1 worker or 1 item; otherwise a pool of min(workers, items)
-    threads with at most two items a thread submitted and not yet yielded,
-    so results waiting to be read, and their futures, stay bounded.
+    ``ws`` is the running worker's own ``_Workspace``, made on its first item
+    and reused for all the others, and dropped when the map ends; workers
+    share no workspace. Serial for 1 worker or 1 item, with one workspace;
+    otherwise a pool of min(workers, items) threads with at most two items a
+    thread submitted and not yet yielded, so results waiting to be read, and
+    their futures, stay bounded.
     """
     if workers == 1 or len(items) <= 1:
-        yield from map(fn, items)
+        ws = _Workspace()
+        for item in items:
+            yield fn(item, ws)
         return
+    local = threading.local()
+
+    def run(item):
+        if not hasattr(local, "ws"):
+            local.ws = _Workspace()
+        return fn(item, local.ws)
+
     workers = min(workers, len(items))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         ahead: deque = deque()
         for item in items:
-            ahead.append(pool.submit(fn, item))
+            ahead.append(pool.submit(run, item))
             if len(ahead) == 2 * workers:
                 yield ahead.popleft().result()
         while ahead:
@@ -519,21 +515,18 @@ def _trial_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``_block_z`` of every block, yielded in block order as it is consumed.
 
-    Blocks are independent and workers share no mutable state: each worker
-    thread owns one ``_Workspace`` for all its blocks, dropped when this
-    generator ends, so a pool of ``threads`` workers maps over the blocks
-    without changing any result. Serial, a block's words are a view of the
-    workspace, read before the next block is drawn; pooled, a worker copies
-    them, since it runs its next block before this one is read.
+    Blocks are independent and workers share no mutable state: each runs its
+    blocks in the workspace ``_ordered_map`` hands it, so a pool of
+    ``threads`` workers maps over the blocks without changing any result.
+    Serial, a block's words are a view of the workspace, read before the
+    next block is drawn; pooled, a worker copies them, since it runs its
+    next block before this one is read.
     """
     B = _block_trials(p.N, M, depth)
     parr = p.as_array()
-    local = threading.local()
 
-    def run(b: int) -> tuple[np.ndarray, np.ndarray]:
-        if not hasattr(local, "ws"):
-            local.ws = _Workspace()
-        zs, words = _block_z(parr, M, depth, master_seed, b, min(B, trials - b * B), local.ws)
+    def run(b: int, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+        zs, words = _block_z(parr, M, depth, master_seed, b, min(B, trials - b * B), ws)
         return zs, words.copy() if threads > 1 else words
 
     yield from _ordered_map(run, range(-(-trials // B)), threads)
@@ -686,15 +679,15 @@ def energy_estimate(occ: OccupancyMap, spec: IfsSpec, t: float, *, threads: int 
     array, whose rows ascend. The summand is symmetric in the pair, so only
     the upper triangle j > i is computed and doubled. Rows go in tiles of
     ``_PAIR_TILE``, and a tile's partial sum is w_i . (D w_j) over its rows
-    i and the columns j >= i0 of its first row. A pool of
-    ``threads`` workers maps over the tiles; the partials are added in tile
-    order, so the result is the same double at every thread count. Each
-    worker owns one buffer of ceil(_PAIR_TILE / workers) x Z doubles, so
-    the buffers together hold about _PAIR_TILE x Z whatever the thread
-    count; it runs a tile in passes of that many rows. A pass forms the
-    differences mid_j - mid_i in place (entries j <= i set to inf, whose
-    power is 0), raises them to -t and writes its rows of D w_j into the
-    tile's row-sum vector; a row's sum does not depend on how many rows
+    i and the columns j >= i0 of its first row. A pool of ``threads``
+    workers maps over the tiles; the partials are added in tile order, so
+    the result is the same double at every thread count. Each worker keeps
+    ceil(_PAIR_TILE / workers) x Z doubles in the "tile" array of its
+    workspace, so the workers together hold about _PAIR_TILE x Z whatever
+    the thread count; it runs a tile in passes of that many rows. A pass
+    forms the differences mid_j - mid_i in place (entries j <= i set to inf,
+    whose power is 0), raises them to -t and writes its rows of D w_j into
+    the tile's row-sum vector; a row's sum does not depend on how many rows
     share its pass. The differences go through ``abs`` only when the
     midpoints are not strictly ascending: with orientation-preserving maps
     they ascend with the words, and for y > x, y - x is the same double as
@@ -718,13 +711,12 @@ def energy_estimate(occ: OccupancyMap, spec: IfsSpec, t: float, *, threads: int 
     starts = range(0, Z - 1, _PAIR_TILE)
     workers = min(threads, len(starts))
     rows = min(-(-_PAIR_TILE // workers), Z)
-    free = [np.empty(rows * Z) for _ in range(workers)]  # a worker pops one, runs a tile, puts it back
     below = np.tri(min(_PAIR_TILE, Z), dtype=bool)  # j <= i inside a tile's leading square
 
-    def tile(i0: int) -> float:
+    def tile(i0: int, ws: _Workspace) -> float:
         i1 = min(i0 + _PAIR_TILE, Z)
         n = i1 - i0
-        buf = free.pop()
+        buf = ws.array("tile", rows * Z, np.float64)
         row_sums = np.empty(n)
         for r0 in range(i0, i1, rows):
             r1 = min(r0 + rows, i1)
@@ -740,7 +732,6 @@ def energy_estimate(occ: OccupancyMap, spec: IfsSpec, t: float, *, threads: int 
             np.power(d, -t, out=d)
             # einsum, not a BLAS gemv: as fast here, without BLAS worker threads
             np.einsum("ij,j->i", d, weights[i0:], out=row_sums[r0 - i0 : r1 - i0])
-        free.append(buf)
         return float(weights[i0:i1] @ row_sums)
 
     total = 0.0

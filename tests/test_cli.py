@@ -134,6 +134,22 @@ class TestSimulate:
         sidecar = json.loads((tmp_path / "sim.csv.summary.json").read_text())
         assert sidecar["depth"] == 10
 
+    # sha256 of the JSON document, of the CSV and of its summary sidecar at ARGS
+    DIGESTS = {
+        "json": "160c1df7cd1c2d0643b48b579113e52e3b04bc141745cd61f43057adb2e5caba",
+        "csv": "799b91c971b1fc7adb02c534e7741c1633ba0f0018bb62cd384636b2c8727c9f",
+        "summary": "d058e827bb75c0d3c9dd0ec90013da337c23c8290f62251ccceb8896518dde81",
+    }
+
+    def test_outputs_are_pinned(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, *self.ARGS)
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS["json"]
+        out_path = tmp_path / "sim.csv"
+        code, _, _ = run_cli(capsys, *self.ARGS, "--format", "csv", "--out", str(out_path))
+        assert code == 0
+        for key, path in (("csv", out_path), ("summary", tmp_path / "sim.csv.summary.json")):
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGESTS[key]
+
     def test_window_flag(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGS, "--window", "6,10")
         assert code == 0
@@ -521,7 +537,8 @@ class TestEnergyDigests:
 
 # sha256 of the JSON row tables and bounds reports, pinned from the
 # whole-document writers that the row-by-row table writer and the
-# field-driven BoundsReport.to_dict replaced
+# field-driven BoundsReport.to_dict replaced, and of the bounds and
+# deterministic CSV rows, pinned before their columns were named once
 DOCUMENT_DIGESTS = {
     "table1 --format json":
         "ec20c0c60f8f43b5ddcd83bc29455a21c5bfb6a4edb5f0977fab3a13df099084",
@@ -539,6 +556,14 @@ DOCUMENT_DIGESTS = {
         "f3ee88a836efbfee412f6a4e10018459b5eccc7763724de93cd693d40394c868",
     "bounds --p 0.2,0.3,0.5 --M 3 --r 0.2":
         "9a8f797fbd7b3a998ca230d9971247af2c21c9057eb2abf66eb6892dbe250e9c",
+    "bounds --p 0.3,0.7 --M 2 --format csv":
+        "414c0676c58617ca97f112bff4bed93cde80953d358982cfa2aac9e401373ce3",
+    "bounds --N 3 --M 5 --format csv":
+        "b9a0f6eb21cc8be3fbf506b564f420908b1eccaab88c0a0c2065308edbad4a6d",
+    "bounds --p 0.2,0.3,0.5 --M 3 --r 0.2 --format csv":
+        "fecb301f2b4ed7ccc4df067bcc7ac0f2a0f67ce75a7d19d46e0ceaae14ecf575",
+    "deterministic --m 6 --format csv":
+        "f24af7933c2480b697ed902e2425f41276b12c8712a69ade9a536b37e6d26a99",
 }
 
 

@@ -7,6 +7,7 @@ failures are reproducible bit for bit.
 import math
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from fractions import Fraction
@@ -328,7 +329,7 @@ def _dense_block_z(rng, parr, M, depth, size, union):
     for k in range(depth):
         occupied = np.nonzero(state)[0]
         child = np.zeros(state.size * N, dtype=np.int64)
-        splits = stochastic._multinomial_split(rng, M * state[occupied], parr)
+        splits = stochastic._multinomial_split(rng, M * state[occupied], parr, stochastic._Workspace())
         child.reshape(state.size, N)[occupied, :] = splits
         state = child
         per_trial = state.reshape(size, -1) > 0
@@ -340,7 +341,9 @@ def _dense_block_z(rng, parr, M, depth, size, union):
 def _dict_evolve(occ, p, rng):
     """Reference level step over a dict of label-word tuples, row by row."""
     words = [tuple(w) for w in occ.words.tolist()]
-    splits = stochastic._multinomial_split(rng, occ.M * occ.counts, p.as_array())
+    splits = stochastic._multinomial_split(
+        rng, occ.M * occ.counts, p.as_array(), stochastic._Workspace()
+    )
     entries = {}
     for i, w in enumerate(words):
         for l in range(p.N):
@@ -406,7 +409,7 @@ class TestBinomialSampler:
         n = shuffle.permutation(np.repeat(np.arange(limit + 1, dtype=np.int64), 40))
         n = np.concatenate([[0, 0, limit], n, [limit, 1, 0]])
         ours, ref = np.random.default_rng(2024), np.random.default_rng(2024)
-        got = stochastic._binomial(ours, n, ratio)
+        got = stochastic._binomial(ours, n, ratio, np.empty_like(n), stochastic._Workspace())
         assert np.array_equal(got, ref.binomial(n, ratio))
         # the same uniforms were consumed: n = 0 entries draw none
         assert ours.random() == ref.random()
@@ -415,7 +418,7 @@ class TestBinomialSampler:
         # every entry inverted: the split is the old per-column rng.binomial loop
         p = np.array([0.6, 0.3, 0.1])  # ratios 0.6 and 0.75, both drawn flipped
         n = np.random.default_rng(5).integers(0, 40, 5000)
-        got = stochastic._multinomial_split(np.random.default_rng(9), n, p)
+        got = stochastic._multinomial_split(np.random.default_rng(9), n, p, stochastic._Workspace())
         rng, rem, want = np.random.default_rng(9), n.copy(), []
         for ratio in (0.6, 0.3 / 0.4):
             want.append(rng.binomial(rem, ratio))
@@ -438,7 +441,9 @@ class TestBinomialSampler:
         assert stochastic._TABLE_ROWS == 300  # the ns above straddle this row
         T = 20000
         n = np.random.default_rng(len(ns)).permutation(np.repeat(np.array(ns, dtype=np.int64), T))
-        draws = stochastic._binomial(np.random.default_rng(77), n, ratio)
+        draws = stochastic._binomial(
+            np.random.default_rng(77), n, ratio, np.empty_like(n), stochastic._Workspace()
+        )
         for size in ns:
             stat, df = _chi_square(draws[n == size], _binomial_pmf(size, ratio))
             # about 6 sigma of a chi-square with df degrees of freedom
@@ -454,14 +459,17 @@ class TestBinomialSampler:
         n = int(np.flatnonzero(ends < top)[0])
         want = next(k for k, c in enumerate(np.cumsum(_binomial_pmf(n, 0.5))) if c >= 0.3)
         rng = _ScriptedUniforms([top], [0.3])
-        assert stochastic._binomial(rng, np.array([n]), 0.5).tolist() == [want]
+        out = np.empty(1, np.int64)
+        got = stochastic._binomial(rng, np.array([n]), 0.5, out, stochastic._Workspace())
+        assert got.tolist() == [want]
         assert rng.draws == []
         # the same column beside a zero and a fallback entry, in a used workspace
         ws = stochastic._Workspace()
-        stochastic._binomial(np.random.default_rng(1), np.arange(1000), 0.5, ws=ws)
+        n_used = np.arange(1000)
+        stochastic._binomial(np.random.default_rng(1), n_used, 0.5, np.empty_like(n_used), ws)
         rng = _ScriptedUniforms([top], [0.3])
         rng.binomial = lambda n, ratio: np.full(n.shape, -1)  # marks the fallback entries
-        got = stochastic._binomial(rng, np.array([0, n, 1000]), 0.5, ws=ws)
+        got = stochastic._binomial(rng, np.array([0, n, 1000]), 0.5, np.empty(3, np.int64), ws)
         assert got.tolist() == [0, want, -1]
         assert rng.draws == []
 
@@ -486,7 +494,7 @@ class TestKernelOracles:
         for t in range(3):
             union = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
             want = _dense_block_z(stochastic._trial_rng(seed, t), parr, M, depth, 1, union)
-            got, words = stochastic._block_z(parr, M, depth, seed, t, 1)
+            got, words = stochastic._block_z(parr, M, depth, seed, t, 1, stochastic._Workspace())
             assert np.array_equal(got, want)
             assert len(words) == got[depth, 0]
             # the deepest words, then every lower level as their prefixes
@@ -600,7 +608,9 @@ class TestWorkspace:
                 size = min(B, trials - b * B)
                 union = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
                 want = _dense_block_z(stochastic._trial_rng(seed, b), parr, M, depth, size, union)
-                fresh, fresh_words = stochastic._block_z(parr, M, depth, seed, b, size)
+                fresh, fresh_words = stochastic._block_z(
+                    parr, M, depth, seed, b, size, stochastic._Workspace()
+                )
                 got, words = stochastic._block_z(parr, M, depth, seed, b, size, ws)
                 assert np.array_equal(got, want)
                 assert np.array_equal(fresh, want)
@@ -628,6 +638,24 @@ class TestWorkspace:
         for _ in range(7):
             size = stochastic._step(rng, size, np.array([0.8, 0.2]), 3, ws)
         assert rng.fallback > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ordered_map_hands_each_worker_thread_one_workspace(self, workers):
+        # the first two items wait for each other, so two workers really start
+        meet = threading.Barrier(workers)
+        seen = []
+
+        def record(item, ws):
+            if item < workers:
+                meet.wait(timeout=30)
+            seen.append((threading.get_ident(), ws))
+            return item
+
+        assert list(stochastic._ordered_map(record, range(50), workers)) == list(range(50))
+        spaces = {id(ws): ws for _, ws in seen}
+        owners = {(thread, id(ws)) for thread, ws in seen}
+        assert len({thread for thread, _ in owners}) == len(spaces) == len(owners) == workers
+        assert all(type(ws) is stochastic._Workspace for ws in spaces.values())
 
     @pytest.mark.parametrize("p, M, depth, trials, seed", WORKSPACE_RUNS[:3])
     def test_pooled_workers_match_serial(self, p, M, depth, trials, seed):
@@ -767,7 +795,7 @@ class TestEnergy:
                 assert energy_estimate(occ, spec, t, threads=threads).hex() == serial
 
     def test_buffer_handoff_survives_thread_switching(self):
-        # workers pop and put back buffers of one shared free list
+        # each worker reuses its own workspace's buffer for every tile it runs
         occ = _random_occupancy(2, 12, 1001, seed=3)
         serial = energy_estimate(occ, THIRDS_SPEC, 0.5).hex()
         interval = sys.getswitchinterval()
