@@ -156,6 +156,16 @@ class TestPiSequence:
         for n in (1, 10, 100, 1999):
             assert 1 / (1 + n) <= pi[n] <= 4 / (4 + n)
 
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_critical_first_moment_limit(self, N):
+        # M = N: pi_{n+1} = pi_n - ((N-1)/2N) pi_n^2 + O(pi_n^3), so n*pi_n rises to 2N/(N-1)
+        limit = 2 * N / (N - 1)
+        pi = pi_sequence(N, N, 10**5)
+        assert all(n * x < limit for n, x in enumerate(pi))
+        scaled = [n * pi[n] for n in (10**3, 10**4, 10**5)]
+        assert scaled == sorted(scaled)
+        assert limit - scaled[-1] < 1e-3
+
     def test_supercritical_limit(self):
         # M > N: bounded away from zero, converging to the fixed point
         pi = pi_sequence(2, 3, 200)

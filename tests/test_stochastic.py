@@ -11,6 +11,7 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -329,7 +330,9 @@ def _dense_block_z(rng, parr, M, depth, size, union):
     for k in range(depth):
         occupied = np.nonzero(state)[0]
         child = np.zeros(state.size * N, dtype=np.int64)
-        splits = stochastic._multinomial_split(rng, M * state[occupied], parr, stochastic._Workspace())
+        splits = stochastic._multinomial_split(
+            [rng], [0, occupied.size], M * state[occupied], parr, stochastic._Workspace()
+        )
         child.reshape(state.size, N)[occupied, :] = splits
         state = child
         per_trial = state.reshape(size, -1) > 0
@@ -342,7 +345,7 @@ def _dict_evolve(occ, p, rng):
     """Reference level step over a dict of label-word tuples, row by row."""
     words = [tuple(w) for w in occ.words.tolist()]
     splits = stochastic._multinomial_split(
-        rng, occ.M * occ.counts, p.as_array(), stochastic._Workspace()
+        [rng], [0, occ.counts.size], occ.M * occ.counts, p.as_array(), stochastic._Workspace()
     )
     entries = {}
     for i, w in enumerate(words):
@@ -409,7 +412,9 @@ class TestBinomialSampler:
         n = shuffle.permutation(np.repeat(np.arange(limit + 1, dtype=np.int64), 40))
         n = np.concatenate([[0, 0, limit], n, [limit, 1, 0]])
         ours, ref = np.random.default_rng(2024), np.random.default_rng(2024)
-        got = stochastic._binomial(ours, n, ratio, np.empty_like(n), stochastic._Workspace())
+        got = stochastic._binomial(
+            [ours], [0, n.size], n, ratio, np.empty_like(n), stochastic._Workspace()
+        )
         assert np.array_equal(got, ref.binomial(n, ratio))
         # the same uniforms were consumed: n = 0 entries draw none
         assert ours.random() == ref.random()
@@ -418,7 +423,9 @@ class TestBinomialSampler:
         # every entry inverted: the split is the old per-column rng.binomial loop
         p = np.array([0.6, 0.3, 0.1])  # ratios 0.6 and 0.75, both drawn flipped
         n = np.random.default_rng(5).integers(0, 40, 5000)
-        got = stochastic._multinomial_split(np.random.default_rng(9), n, p, stochastic._Workspace())
+        got = stochastic._multinomial_split(
+            [np.random.default_rng(9)], [0, n.size], n, p, stochastic._Workspace()
+        )
         rng, rem, want = np.random.default_rng(9), n.copy(), []
         for ratio in (0.6, 0.3 / 0.4):
             want.append(rng.binomial(rem, ratio))
@@ -442,7 +449,8 @@ class TestBinomialSampler:
         T = 20000
         n = np.random.default_rng(len(ns)).permutation(np.repeat(np.array(ns, dtype=np.int64), T))
         draws = stochastic._binomial(
-            np.random.default_rng(77), n, ratio, np.empty_like(n), stochastic._Workspace()
+            [np.random.default_rng(77)], [0, n.size], n, ratio, np.empty_like(n),
+            stochastic._Workspace(),
         )
         for size in ns:
             stat, df = _chi_square(draws[n == size], _binomial_pmf(size, ratio))
@@ -460,16 +468,19 @@ class TestBinomialSampler:
         want = next(k for k, c in enumerate(np.cumsum(_binomial_pmf(n, 0.5))) if c >= 0.3)
         rng = _ScriptedUniforms([top], [0.3])
         out = np.empty(1, np.int64)
-        got = stochastic._binomial(rng, np.array([n]), 0.5, out, stochastic._Workspace())
+        got = stochastic._binomial([rng], [0, 1], np.array([n]), 0.5, out, stochastic._Workspace())
         assert got.tolist() == [want]
         assert rng.draws == []
         # the same column beside a zero and a fallback entry, in a used workspace
         ws = stochastic._Workspace()
         n_used = np.arange(1000)
-        stochastic._binomial(np.random.default_rng(1), n_used, 0.5, np.empty_like(n_used), ws)
+        stochastic._binomial(
+            [np.random.default_rng(1)], [0, n_used.size], n_used, 0.5, np.empty_like(n_used), ws
+        )
         rng = _ScriptedUniforms([top], [0.3])
         rng.binomial = lambda n, ratio: np.full(n.shape, -1)  # marks the fallback entries
-        got = stochastic._binomial(rng, np.array([0, n, 1000]), 0.5, np.empty(3, np.int64), ws)
+        n3 = np.array([0, n, 1000])
+        got = stochastic._binomial([rng], [0, 3], n3, 0.5, np.empty(3, np.int64), ws)
         assert got.tolist() == [0, want, -1]
         assert rng.draws == []
 
@@ -494,7 +505,7 @@ class TestKernelOracles:
         for t in range(3):
             union = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
             want = _dense_block_z(stochastic._trial_rng(seed, t), parr, M, depth, 1, union)
-            got, words = stochastic._block_z(parr, M, depth, seed, t, 1, stochastic._Workspace())
+            got, words = stochastic._block_z(parr, M, depth, seed, t, [1], stochastic._Workspace())
             assert np.array_equal(got, want)
             assert len(words) == got[depth, 0]
             # the deepest words, then every lower level as their prefixes
@@ -609,9 +620,9 @@ class TestWorkspace:
                 union = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
                 want = _dense_block_z(stochastic._trial_rng(seed, b), parr, M, depth, size, union)
                 fresh, fresh_words = stochastic._block_z(
-                    parr, M, depth, seed, b, size, stochastic._Workspace()
+                    parr, M, depth, seed, b, [size], stochastic._Workspace()
                 )
-                got, words = stochastic._block_z(parr, M, depth, seed, b, size, ws)
+                got, words = stochastic._block_z(parr, M, depth, seed, b, [size], ws)
                 assert np.array_equal(got, want)
                 assert np.array_equal(fresh, want)
                 assert np.array_equal(words, fresh_words)
@@ -636,7 +647,7 @@ class TestWorkspace:
         ws.array("counts", 1)[...] = 1
         size = 1
         for _ in range(7):
-            size = stochastic._step(rng, size, np.array([0.8, 0.2]), 3, ws)
+            size = stochastic._step([rng], [0, size], np.array([0.8, 0.2]), 3, ws)
         assert rng.fallback > 0
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -669,13 +680,13 @@ class TestWorkspace:
         parr = ProbVector(p).as_array()
         ws = stochastic._Workspace()
         for b in range(3):  # warm: the workspace grows to the largest of these blocks
-            stochastic._block_z(parr, 2, depth, 7, b, size, ws)
+            stochastic._block_z(parr, 2, depth, 7, b, [size], ws)
         tracemalloc.start()
         try:
             for b in range(3):
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                _, words = stochastic._block_z(parr, 2, depth, 7, b, size, ws)
+                _, words = stochastic._block_z(parr, 2, depth, 7, b, [size], ws)
                 transient = tracemalloc.get_traced_memory()[1] - before
                 # one temporary of at most 64 KB at a time (a piece's indices), and
                 # the state is too big to hide an array of its size under that bound
@@ -698,6 +709,158 @@ class TestWorkspace:
             finally:
                 tracemalloc.stop()
             assert peak <= C * 8 * max(s.z_max) + 2**depth, (seed, peak, max(s.z_max))
+
+
+# (p, M, depth, trials, seed): batches of G = 4 blocks, each run ending in a partial
+# block: N = M = 2 with B = 256 over two batches, N = 3 with B = 256, and the flip and
+# fallback shape of WORKSPACE_RUNS with B = 512
+BATCH_RUNS = [
+    ((0.5, 0.5), 2, 8, 1100, 3),
+    ((0.1, 0.3, 0.6), 2, 8, 900, 4),
+    ((0.8, 0.2), 3, 7, 700, 2),
+]
+
+
+class _Recorded(_ScriptedUniforms):
+    """Scripted uniforms that log every call; a fallback entry draws -1."""
+
+    def __init__(self, *draws):
+        super().__init__(*draws)
+        self.calls = []
+
+    def random(self, size=None, out=None):
+        u = super().random(size, out)
+        self.calls.append(("random", u.tolist()))
+        return u
+
+    def binomial(self, n, ratio):
+        self.calls.append(("binomial", n.tolist()))
+        return np.full(n.shape, -1)
+
+
+class TestBatches:
+    @pytest.mark.parametrize("p, M, depth, trials, seed", BATCH_RUNS)
+    def test_each_block_of_a_batch_matches_its_dense_loop(self, p, M, depth, trials, seed):
+        pv = ProbVector(p)
+        N, parr = pv.N, pv.as_array()
+        B, G = stochastic._block_trials(N, M, depth), stochastic._batch_blocks(N, M, depth)
+        blocks = -(-trials // B)
+        assert G == 4 and blocks > 1 and trials % B
+        ws = stochastic._Workspace()
+        for first in range(0, blocks, G):
+            sizes = [min(B, trials - b * B) for b in range(first, min(first + G, blocks))]
+            zs, words = stochastic._block_z(parr, M, depth, seed, first, sizes, ws)
+            ends = np.concatenate([[0], np.cumsum(zs[depth])])  # trial j's words: ends[j]:ends[j+1]
+            t = 0
+            for s, size in enumerate(sizes):
+                union = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
+                rng = stochastic._trial_rng(seed, first + s)
+                want = _dense_block_z(rng, parr, M, depth, size, union)
+                assert np.array_equal(zs[:, t : t + size], want), (first, s)
+                block_words = words[ends[t] : ends[t + size]]
+                assert np.array_equal(np.unique(block_words), np.flatnonzero(union[depth - 1]))
+                t += size
+
+    @pytest.mark.parametrize("fast_path", [True, False], ids=["all-table", "zero-and-fallback"])
+    def test_redraw_in_a_later_block_stays_on_its_stream(self, fast_path):
+        # as in test_uniform_past_the_last_cdf_step_is_redrawn, on the second of three
+        # segments; each stream must see the calls of its segment's lone run, in order
+        table = stochastic._inversion_table(0.5)
+        W = 1 << table.shift
+        cdf = table.cdf.reshape(-1, W)
+        ends = np.where(cdf < 2.0, cdf, -1.0).max(axis=1)
+        top = 1.0 - 2.0**-53
+        n_edge = int(np.flatnonzero(ends < top)[0])
+        want = next(k for k, c in enumerate(np.cumsum(_binomial_pmf(n_edge, 0.5))) if c >= 0.3)
+        extra = [] if fast_path else [0, 1000]
+        segments = [
+            (np.array([3, n_edge]), [[0.2, 0.6]]),
+            (np.array([n_edge, 5, n_edge] + extra), [[0.5, 0.4, top], [0.3]]),
+            (np.array(extra[::-1] + [7]), [[0.9]]),
+        ]
+        lone = []
+        for n, draws in segments:
+            rng = _Recorded(*draws)
+            out = stochastic._binomial(
+                [rng], [0, n.size], n, 0.5, np.empty_like(n), stochastic._Workspace()
+            )
+            assert rng.draws == []
+            lone.append((out.tolist(), rng.calls))
+        assert lone[1][0][2] == want  # the redrawn entry inverts its second uniform
+        rngs = [_Recorded(*draws) for _, draws in segments]
+        n = np.concatenate([n for n, _ in segments])
+        cuts = np.cumsum([0] + [n.size for n, _ in segments]).tolist()
+        got = stochastic._binomial(rngs, cuts, n, 0.5, np.empty_like(n), stochastic._Workspace())
+        for s, (out, calls) in enumerate(lone):
+            assert got[cuts[s] : cuts[s + 1]].tolist() == out
+            assert rngs[s].calls == calls
+            assert rngs[s].draws == []
+        assert fast_path or ("binomial", [1000]) in lone[1][1]
+
+    def test_level_steps_are_one_per_batch_and_level(self, monkeypatch):
+        streams = []
+        step = stochastic._step
+
+        def counted(rngs, cuts, p, M, ws):
+            streams.append(len(rngs))
+            return step(rngs, cuts, p, M, ws)
+
+        monkeypatch.setattr(stochastic, "_step", counted)
+        # depth 8: 40 blocks of B = 256 trials in batches of G = 4
+        G = stochastic._batch_blocks(2, 2, 8)
+        run_trials(THIRDS_SPEC, SYM, 2, 8, 10**4, master_seed=1)
+        assert G == 4 and len(streams) == 8 * -(-40 // G) == 80
+        # depth 20: one trial a block and one block a batch
+        streams.clear()
+        run_trials(THIRDS_SPEC, SYM, 2, 20, 2, master_seed=1)
+        assert stochastic._batch_blocks(2, 2, 20) == stochastic._batch_blocks(2, 2, 18) == 1
+        assert streams == [1] * 40
+
+    def test_thread_count_is_invisible_across_batches(self):
+        # 3000 trials at depth 8: 12 blocks in 3 batches, the last block partial
+        runs = [run_trials(THIRDS_SPEC, SYM, 2, 8, 3000, master_seed=29, threads=k) for k in (1, 2)]
+        assert runs[0] == runs[1]
+
+    def test_batch_word_codes_fit_int64(self):
+        # N = 15, M = 2 at depth 16: one trial a block, and a batch of 4 trials would code
+        # its words as j*N^16 + word past 2^63; z_distribution keeps no N^depth union, so
+        # it runs this shape
+        N, M, depth, trials = 15, 2, 16, 5
+        assert stochastic._block_trials(N, M, depth) == 1
+        assert N**depth <= stochastic._INT64_MAX < 4 * N**depth
+        assert stochastic._batch_blocks(N, M, depth) == 1 < stochastic._BATCH_ENTRIES // M**depth
+        assert stochastic._batch_blocks(100, 2, 8) == 3  # B = 256, and 4 * B * 100^8 > 2^63
+        p = ProbVector.uniform(N)
+        batched = z_distribution(p, M, depth, trials, 3)
+        with mock.patch.object(stochastic, "_BATCH_ENTRIES", 1):
+            assert batched == z_distribution(p, M, depth, trials, 3)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_one_block_batches_change_no_result(self, data):
+        N = data.draw(st.integers(2, 4), label="N")
+        M = data.draw(st.integers(2, 3), label="M")
+        depth = data.draw(st.integers(1, 8), label="depth")
+        weights = data.draw(st.lists(st.floats(0.05, 1.0), min_size=N, max_size=N))
+        p = ProbVector(tuple(w / math.fsum(weights) for w in weights))
+        # up to two batches: G >= 4 blocks a batch at these shapes
+        B = stochastic._block_trials(N, M, depth)
+        trials = data.draw(st.integers(1, 5 * B + 1), label="trials")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        _assert_batching_changes_no_result(p, M, depth, trials, seed)
+
+
+def _assert_batching_changes_no_result(p, M, depth, trials, seed):
+    """run_trials and z_distribution give the same results with one block a batch."""
+    spec = canonical_spec(p.N, 1 / (p.N + 1))
+
+    def run():
+        return run_trials(spec, p, M, depth, trials, seed), z_distribution(p, M, depth, trials, seed)
+
+    batched = run()
+    with mock.patch.object(stochastic, "_BATCH_ENTRIES", 1):
+        assert stochastic._batch_blocks(p.N, M, depth) == 1
+        assert run() == batched
 
 
 class TestEstimateDim:
