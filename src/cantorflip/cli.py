@@ -11,9 +11,13 @@ default. The argparse flags, one config schema per subcommand and the
 resolved parameter dict (defaults, then the JSON config, then explicit
 flags) are all generated from it, so a config accepts exactly the fields
 its subcommand's flags set, plus ``mode`` and, for simulate and energy, the
-``ifs`` geometry. CSV output uses '.' decimals, ',' separators, a header
-row, and 9 significant digits. The row tables (table1, figure1, exact) are
-written row by row, as CSV or as one JSON list.
+``ifs`` geometry. A small in-module checker (``_errors``) validates the
+resolved dict against that schema: it knows only the keywords ``COMMANDS``
+uses, gives the Draft 2020-12 reference validator's messages, and, unlike
+it, takes only finite numbers, so a NaN or an infinity exits 2. CSV output
+uses '.' decimals, ',' separators, a header row, and 9 significant digits.
+The row tables (table1, figure1, exact) are written row by row, as CSV or
+as one JSON list.
 
 ``energy`` runs one worker thread per usable CPU (the CPU affinity mask, so
 ``taskset`` limits it) and ``simulate`` runs 1. The thread count changes
@@ -27,12 +31,12 @@ import contextlib
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-import jsonschema
 import numpy as np
 
 from .bounds import classify, lower_bound, upper_bound
@@ -474,10 +478,88 @@ def _schema(name: str, command: Command) -> dict:
     }
 
 
-_VALIDATORS = {
-    name: jsonschema.Draft202012Validator(_schema(name, command))
-    for name, command in COMMANDS.items()
+class ConfigError(ValueError):
+    """A resolved parameter dict that breaks its subcommand's schema at ``path``."""
+
+    def __init__(self, path: tuple, message: str):
+        super().__init__(message)
+        self.path = path
+
+
+_NUMBER_TYPES = {"number", "integer"}
+_TYPES = {"object": dict, "array": list, "string": str}
+_BOUNDS = {  # keyword: (fails when, message)
+    "minimum": (lambda x, b: x < b, "is less than the minimum of"),
+    "exclusiveMinimum": (lambda x, b: x <= b, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (lambda x, b: x >= b, "is greater than or equal to the maximum of"),
 }
+_ANNOTATIONS = {"$schema", "description", "then"}  # "then" is read by "if"
+_KEYWORDS = frozenset({"type", "enum", "const", "minItems", "maxItems", "items", "properties",
+                      "additionalProperties", "required", "not", "if", *_BOUNDS, *_ANNOTATIONS})
+
+
+def _is_type(value, name: str) -> bool:
+    """JSON-schema types, except that a number must be finite; a bool is no number."""
+    if name not in _NUMBER_TYPES:
+        return isinstance(value, _TYPES[name])
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) or (
+        math.isfinite(value) and (name == "number" or value.is_integer())
+    )
+
+
+def _equal(a, b) -> bool:
+    """Equality that tells True from 1, as JSON schema's enum and const do."""
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _errors(value, schema: dict, path: tuple = ()):
+    """Yield (path, message) for each keyword ``value`` breaks.
+
+    Keywords are read in schema order, and each message is the Draft 2020-12
+    reference validator's, word for word. Only the keywords in ``_KEYWORDS``,
+    the ones ``COMMANDS`` uses, are known.
+    """
+    for key, arg in schema.items():
+        if key == "type" and not _is_type(value, arg):
+            if arg in _NUMBER_TYPES and isinstance(value, float) and not math.isfinite(value):
+                yield path, f"{value!r} is not a finite number"
+            else:
+                yield path, f"{value!r} is not of type {arg!r}"
+        elif key in _BOUNDS and _is_type(value, "number") and _BOUNDS[key][0](value, arg):
+            yield path, f"{value!r} {_BOUNDS[key][1]} {arg!r}"
+        elif key == "enum" and not any(_equal(value, e) for e in arg):
+            yield path, f"{value!r} is not one of {arg!r}"
+        elif key == "const" and not _equal(value, arg):
+            yield path, f"{arg!r} was expected"
+        elif key == "minItems" and isinstance(value, list) and len(value) < arg:
+            yield path, f"{value!r} is too short"
+        elif key == "maxItems" and isinstance(value, list) and len(value) > arg:
+            yield path, f"{value!r} is too long"
+        elif key == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from _errors(item, arg, (*path, i))
+        elif key == "properties" and isinstance(value, dict):
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _errors(value[name], sub, (*path, name))
+        elif key == "additionalProperties" and isinstance(value, dict):  # false only
+            extra = sorted((k for k in value if k not in schema.get("properties", {})), key=str)
+            if extra:
+                verb = "was" if len(extra) == 1 else "were"
+                names = ", ".join(map(repr, extra))
+                yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif key == "required" and isinstance(value, dict):
+            for name in arg:
+                if name not in value:
+                    yield path, f"{name!r} is a required property"
+        elif key == "not" and next(_errors(value, arg, path), None) is None:
+            yield path, f"{value!r} should not be valid under {arg!r}"
+        elif key == "if" and next(_errors(value, arg, path), None) is None:
+            yield from _errors(value, schema.get("then", {}), path)
+        elif key not in _KEYWORDS:
+            raise NotImplementedError(f"JSON-schema keyword {key!r}")
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -492,7 +574,9 @@ def _resolve(args: argparse.Namespace) -> dict:
     for p in params:
         if p.type is not None and getattr(args, p.name) is not None:
             resolved[p.name] = getattr(args, p.name)
-    _VALIDATORS[args.command].validate(resolved)
+    error = next(_errors(resolved, _schema(args.command, COMMANDS[args.command])), None)
+    if error is not None:
+        raise ConfigError(*error)
     types = {p.name: p.type for p in params if p.type is not None}
     return {k: types[k](v) if k in types else v for k, v in resolved.items()}
 
@@ -524,9 +608,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command].run(_resolve(args))
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(k) for k in exc.absolute_path)
-        sys.stderr.write(f"config validation error: {where + ': ' if where else ''}{exc.message}\n")
+    except ConfigError as exc:
+        where = "/".join(str(k) for k in exc.path)
+        sys.stderr.write(f"config validation error: {where + ': ' if where else ''}{exc}\n")
         return 2
     except ValueError as exc:
         sys.stderr.write(f"validation error: {exc}\n")

@@ -15,6 +15,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorflip import cli
 from cantorflip.cli import COMMANDS, main
@@ -365,6 +367,169 @@ class TestConfigFields:
         assert code == 2
         assert out == ""
         assert "config validation error" in err and "'r' was unexpected" in err
+
+
+# One bad config per schema keyword, and the exact stderr line it gives. The
+# lines are the Draft 2020-12 reference validator's, which the CLI used before
+# it checked configs itself; "a finite number" is the checker's own rule.
+BAD_CONFIGS = {
+    "type": ("bounds", {"M": "2"}, "M: '2' is not of type 'integer'"),
+    "type-bool": ("bounds", {"M": True}, "M: True is not of type 'integer'"),
+    "type-float": ("bounds", {"M": 2.5}, "M: 2.5 is not of type 'integer'"),
+    "minimum": ("bounds", {"M": 1}, "M: 1 is less than the minimum of 2"),
+    "exclusiveMinimum": ("energy", {"t": 0}, "t: 0 is less than or equal to the minimum of 0"),
+    "exclusiveMaximum": (
+        "bounds", {"N": 2, "M": 2, "r": 1}, "r: 1 is greater than or equal to the maximum of 1"
+    ),
+    "enum": ("table1", {"format": "xml"}, "format: 'xml' is not one of ['json', 'csv']"),
+    "enum-bool": (
+        "energy",
+        {"ifs": {"N": 2, "r": 0.25, "orientations": [True, -1]}},
+        "ifs/orientations/0: True is not one of [1, -1]",
+    ),
+    "mode": ("bounds", {"mode": "simulate"}, "mode: 'simulate' is not one of ['bounds']"),
+    "minItems": ("bounds", {"M": 2, "p": [0.5]}, "p: [0.5] is too short"),
+    "maxItems": (
+        "simulate", {"N": 2, "M": 2, "depth": 4, "window": [0, 2, 4]}, "window: [0, 2, 4] is too long"
+    ),
+    "items": (
+        "simulate", {"N": 2, "M": 2, "depth": 4, "window": [2, -1]},
+        "window/1: -1 is less than the minimum of 0",
+    ),
+    "properties": ("energy", {"ifs": {"N": 1, "r": 0.25}}, "ifs/N: 1 is less than the minimum of 2"),
+    "additionalProperties": (
+        "table1", {"r": 0.2}, "Additional properties are not allowed ('r' was unexpected)"
+    ),
+    "additionalProperties-two": (
+        "table1", {"b": 1, "a": 2}, "Additional properties are not allowed ('a', 'b' were unexpected)"
+    ),
+    "additionalProperties-ifs": (
+        "energy",
+        {"ifs": {"N": 2, "r": 0.25, "x": 0}},
+        "ifs: Additional properties are not allowed ('x' was unexpected)",
+    ),
+    "required": ("bounds", {"N": 2}, "'M' is a required property"),
+    "if-then-required": ("exact", {"M": 2}, "'N' is a required property"),
+    "if-then-not": (
+        "exact", {"N": 2, "M": 2, "p": [0.3, 0.7]}, "p: [0.3, 0.7] should not be valid under {}"
+    ),
+    "several": (
+        "bounds", {"M": 1, "p": [1.5], "x": 0},
+        "Additional properties are not allowed ('x' was unexpected)",
+    ),
+    "finite-nan": ("energy", {"N": 2, "depth": 3, "t": math.nan}, "t: nan is not a finite number"),
+    "finite-inf": ("bounds", {"N": 2, "M": 2, "r": math.inf}, "r: inf is not a finite number"),
+    "finite-integer": ("bounds", {"M": -math.inf}, "M: -inf is not a finite number"),
+    "finite-item": ("bounds", {"M": 2, "p": [0.5, math.nan]}, "p/1: nan is not a finite number"),
+    "finite-ifs": (
+        "energy",
+        {"ifs": {"N": 2, "r": 0.25, "translations": [0, math.inf]}},
+        "ifs/translations/1: inf is not a finite number",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_CONFIGS))
+def test_bad_config_names_its_error(capsys, tmp_path, name):
+    command, config, message = BAD_CONFIGS[name]
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))  # NaN and Infinity, as Python's json reads them
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"config validation error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--t", "nan"], "t: nan is not a finite number"),
+        (["--t", "inf"], "t: inf is not a finite number"),
+        (["--r", "nan"], "r: nan is not a finite number"),
+        (["--r", "inf"], "r: inf is not a finite number"),
+        (["--p", "0.5,nan"], "p/1: nan is not a finite number"),
+    ],
+    ids=" ".join,
+)
+def test_non_finite_flag_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "energy", "--N", "2", "--M", "2", "--depth", "3", *argv)
+    assert (code, out, err) == (2, "", f"config validation error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "schema,value,errors",
+    [
+        ({"const": "pi"}, "zn", [((), "'pi' was expected")]),
+        ({"const": 1}, True, [((), "1 was expected")]),
+        ({"enum": [1, -1]}, 1.0, []),
+        ({"type": "integer"}, 2.0, []),
+        ({"type": "number", "minimum": 0}, "x", [((), "'x' is not of type 'number'")]),
+        ({"type": "integer", "minimum": 2}, 10**400, []),
+    ],
+)
+def test_checker_keyword_semantics(schema, value, errors):
+    assert list(cli._errors(value, schema)) == errors
+
+
+def _schema_keywords(schema: dict):
+    """Every (keyword, argument) pair in ``schema`` and its subschemas."""
+    for key, arg in schema.items():
+        yield key, arg
+        if key == "properties":
+            for sub in arg.values():
+                yield from _schema_keywords(sub)
+        elif key in ("items", "not", "if", "then"):
+            yield from _schema_keywords(arg)
+
+
+def test_checker_knows_every_schema_keyword():
+    # a Param fragment with, say, "pattern" must fail here, not go unchecked
+    for name, command in COMMANDS.items():
+        for key, arg in _schema_keywords(cli._schema(name, command)):
+            assert key in cli._KEYWORDS, (name, key)
+            if key == "type":
+                assert arg in {*cli._TYPES, *cli._NUMBER_TYPES}, (name, arg)
+            if key == "additionalProperties":
+                assert arg is False, name
+
+
+_SCALARS = st.one_of(
+    st.integers(-3, 12),
+    st.floats(-2, 3, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0]),
+    st.booleans(),
+    st.sampled_from(["pi", "zn", "json", "csv", "bounds", "simulate", "", "x"]),
+    st.none(),
+)
+_LISTS = st.lists(_SCALARS, max_size=4)
+_IFS_LIKE = st.dictionaries(
+    st.sampled_from(["N", "r", "translations", "orientations", "x"]),
+    st.one_of(_SCALARS, _LISTS),
+    max_size=5,
+)
+
+
+@st.composite
+def _configs(draw):
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    fields = [p.name for p in COMMANDS[name].params] + ["mode", "unknown"]
+    values = st.one_of(_SCALARS, _LISTS, _IFS_LIKE)
+    return name, draw(st.dictionaries(st.sampled_from(fields), values, max_size=len(fields)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_configs())
+def test_checker_matches_reference_validator(case):
+    jsonschema = pytest.importorskip("jsonschema")
+    name, config = case
+    schema = cli._schema(name, COMMANDS[name])
+    expected = [
+        (tuple(e.absolute_path), e.message)
+        for e in jsonschema.Draft202012Validator(schema).iter_errors(config)
+    ]
+    errors = list(cli._errors(config, schema))
+    assert (errors == []) == (expected == [])  # accepts exactly what the reference accepts
+    # the same errors, paths and words in the same order, so the first, which
+    # main() prints, is the reference's first
+    assert errors == expected
 
 
 # One sample per parameter name, valid for every subcommand that has it; a
@@ -750,4 +915,29 @@ def test_package_reads_no_environment_variable():
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {n}" for n in names if n in _ENVIRONMENT_NAMES]
+    assert found == []
+
+
+def test_cli_import_loads_no_schema_library():
+    # configs are checked in-repo, so starting the CLI imports no schema package
+    code = "import json, sys, cantorflip, cantorflip.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    roots = {name.split(".")[0] for name in json.loads(proc.stdout)}
+    assert roots & {"jsonschema", "referencing", "attrs"} == set()
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] not in allowed]
     assert found == []
