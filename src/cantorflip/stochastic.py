@@ -20,19 +20,18 @@ array.
 
 ``evolve`` advances an ``OccupancyMap``, a level's words as an int32 array
 with their path counts, by one ``_step`` whose codes are the row indices.
-``run_trials`` and ``z_distribution`` split trials into blocks of B =
-max(1, _BLOCK_ENTRIES // min(N, M)^depth): block b holds trials [b*B,
-(b+1)*B), draws from Generator(PCG64(SeedSequence(master_seed,
-spawn_key=(b,)))) and orders its entries by (trial, code). Results depend
-on that block size and on nothing else (not on the thread count). When
-B == 1, block b is trial b, so deep shapes keep one stream per trial.
-Blocks are the unit of randomness and batches the unit of work: a batch
-is the next G = max(1, _BATCH_ENTRIES // (B * min(N, M)^depth)) blocks
-(fewer where their word codes would pass int64), advanced through each
-level by one ``_step`` in which each block still draws from its own
-stream, so the batch size changes the speed and no result. At one seed
-both functions see the same trials: ``z_distribution`` is the histogram
-of the per-trial counts that ``run_trials`` aggregates.
+``run_trials`` and ``z_distribution`` advance trials in blocks of B =
+max(1, min(_BLOCK_ENTRIES // min(N, M)^depth, _INT64_MAX // N^depth)),
+so a block holds at most _BLOCK_ENTRIES words a level and its word codes
+fit int64. Block b holds trials [b*B, (b+1)*B), draws from
+Generator(PCG64(SeedSequence(master_seed, spawn_key=(b,)))) alone and
+orders its entries by (trial, code); each of its levels is one ``_step``
+on that one stream. The block is the unit of randomness and of work:
+results depend on the block size and on nothing else (not on the thread
+count). When B == 1, block b is trial b, so deep shapes keep one stream
+per trial. At one seed both functions see the same trials:
+``z_distribution`` is the histogram of the per-trial counts that
+``run_trials`` aggregates.
 
 Within a level a stream is consumed column by column of the multinomial
 split. A column first draws its table entries in entry order, one uniform
@@ -64,10 +63,8 @@ _DENSE_STATE_CAP = 1 << 24  # the pooled-union bitmap: at most 2^24 words
 _TRIAL_STATE_CAP = 1 << 24  # one trial's sparse state: at most 2^24 words a level
 _WORK_CAP = 1 << 34  # trials * min(N, M)^depth words
 _INT64_MAX = (1 << 63) - 1  # path counts and word codes are int64
-# a block of B > 1 trials holds at most 2^16 words at any level (B * min(N, M)^depth)
-_BLOCK_ENTRIES = 1 << 16
-# a batch of G blocks, advanced together, holds at most 2^18 words at any level
-_BATCH_ENTRIES = 1 << 18
+# a block of B > 1 trials holds at most 2^18 words at any level (B * min(N, M)^depth)
+_BLOCK_ENTRIES = 1 << 18
 _PAIR_CAP = 1 << 28  # energy pair sum: at most 2^28 (Z^2) pairs per level
 _PAIR_TILE = 64  # energy pair sum: rows a tile; its 64 x Z buffer is at most 8 MB
 _INVERSION_MEAN = 30.0  # numpy inverts Binomial(n, q) when n*q <= 30, q = min(ratio, 1 - ratio)
@@ -220,7 +217,8 @@ class _Workspace(dict):
     an array: "codes" and "counts" hold a level's entries, which its outputs
     overwrite, and "counts" holds a column's uniforms while the level's draws
     run; "splits" holds the multinomial columns; "rows" is a column's draw
-    scratch, then the level's input codes while it is compacted; "inverted"
+    scratch, and after the draws it trades arrays with "codes", so it holds
+    the level's input codes while they are compacted; "inverted"
     and "walk" are a column's flags, and "piece", "kids" and "nonzero" one
     piece of the compaction. The energy pair sum keeps its pass rows in "tile".
     """
@@ -269,23 +267,15 @@ def _invert(
 
 
 def _binomial(
-    rngs: Sequence[np.random.Generator],
-    cuts: Sequence[int],
-    n: np.ndarray,
-    ratio: float,
-    out: np.ndarray,
-    ws: _Workspace,
+    rng: np.random.Generator, n: np.ndarray, ratio: float, out: np.ndarray, ws: _Workspace
 ) -> np.ndarray:
     """Binomial(n_i, ratio) for every entry of the int64 array ``n``, into ``out``.
 
-    Entries cuts[s]..cuts[s+1]-1 form segment s, which draws from ``rngs[s]``
-    alone and makes the draws that a call on that segment by itself would.
-    In a segment, entries in numpy's inversion regime (n*q <= 30 with
-    q = min(ratio, 1 - ratio), n >= 1), up to the table's last row, invert
-    one uniform each against ``_inversion_table(ratio)``, in entry order.
-    Then the remaining entries with n >= 1 go to ``Generator.binomial``, in
-    entry order. Entries with n = 0 draw nothing and give 0. The inversion
-    itself runs once over all segments. ``out`` is a contiguous int64 array
+    Entries in numpy's inversion regime (n*q <= 30 with q = min(ratio,
+    1 - ratio), n >= 1), up to the table's last row, invert one uniform each
+    against ``_inversion_table(ratio)``, in entry order. Then the remaining
+    entries with n >= 1 go to ``Generator.binomial``, in entry order. Entries
+    with n = 0 draw nothing and give 0. ``out`` is a contiguous int64 array
     of n's length. The uniforms go to the "counts" array of ``ws``, so ``n``
     and ``out`` must lie elsewhere; redraws reuse its "rows" and "walk".
     """
@@ -293,27 +283,18 @@ def _binomial(
     u = ws.array("counts", n.size, np.float64)
     inverted = ws.array("inverted", n.size, bool)
     if n.size and n.min() >= 1 and n.max() <= table.last:
-        for rng, a, b in zip(rngs, cuts, cuts[1:]):
-            rng.random(out=u[a:b])
-    else:  # a segment's table entries take its first k uniforms; the rest read u = 0
+        rng.random(out=u)
+    else:  # the table entries take the column's first k uniforms; the rest read u = 0
         np.greater_equal(n, 1, out=inverted)
         inverted &= np.less_equal(n, table.last, out=ws.array("walk", n.size, bool))
-        drawn = ws.array("rows", n.size, np.float64)
-        k = 0
-        for rng, a, b in zip(rngs, cuts, cuts[1:]):
-            j = k + int(np.count_nonzero(inverted[a:b]))
-            if j > k:
-                rng.random(out=drawn[k:j])
-            k = j
+        drawn = ws.array("rows", n.size, np.float64)[: np.count_nonzero(inverted)]
+        rng.random(out=drawn)
         u.fill(0.0)
-        u[inverted] = drawn[:k]
+        u[inverted] = drawn
     again = _invert(table, n, u, out, ws)
-    while again.size:  # numpy redraws at once; here the redraws follow the segment's draws
-        redraw = np.empty(again.size)
-        for rng, a, b in _segments(rngs, cuts, again):
-            rng.random(out=redraw[a:b])
+    while again.size:  # numpy redraws at once; here the redraws follow the column's draws
         redrawn = np.empty(again.size, dtype=np.int64)
-        back = _invert(table, n[again], redraw, redrawn, ws)
+        back = _invert(table, n[again], rng.random(again.size), redrawn, ws)
         out[again] = redrawn
         again = again[back]
     if table.flip:
@@ -321,28 +302,12 @@ def _binomial(
     rest = np.greater(n, table.last, out=inverted)
     if rest.any():
         i = np.flatnonzero(rest)
-        for rng, a, b in _segments(rngs, cuts, i):
-            out[i[a:b]] = rng.binomial(n[i[a:b]], ratio)
+        out[i] = rng.binomial(n[i], ratio)
     return out
 
 
-def _segments(
-    rngs: Sequence[np.random.Generator], cuts: Sequence[int], i: np.ndarray
-) -> Iterator[tuple[np.random.Generator, int, int]]:
-    """(rng, a, b) for each segment that holds some of the ascending entry indices ``i``.
-
-    i[a:b] are the indices that fall in the segment ``rng`` draws for.
-    """
-    at = np.searchsorted(i, cuts).tolist()
-    return ((rng, a, b) for rng, a, b in zip(rngs, at, at[1:]) if b > a)
-
-
 def _multinomial_split(
-    rngs: Sequence[np.random.Generator],
-    cuts: Sequence[int],
-    n: np.ndarray,
-    p: np.ndarray,
-    ws: _Workspace,
+    rng: np.random.Generator, n: np.ndarray, p: np.ndarray, ws: _Workspace
 ) -> np.ndarray:
     """Exact multinomial(n_i, p) draw for every entry of ``n``, as a len(n) x N array.
 
@@ -354,8 +319,6 @@ def _multinomial_split(
     rejection), so no normal approximation enters at any count size. Where
     no entry of a column goes to ``Generator.binomial``, the column is the
     draw ``rng.binomial(rem, ratio)`` would make, from the same uniforms.
-    Segment s of the entries, cuts[s]..cuts[s+1]-1, draws from ``rngs[s]``
-    alone, column by column, as a split of that segment by itself would.
     The result is a transposed view of one N x len(n) array, so each column
     is drawn in place. ``n`` is read once, before any draw, so it may be the
     "counts" array of ``ws``, which the draws then reuse.
@@ -368,36 +331,29 @@ def _multinomial_split(
     rem[...] = n
     for l in range(N - 1):
         ratio = min(1.0, p[l] / tails[l])
-        rem -= _binomial(rngs, cuts, rem, ratio, out[l], ws)
+        rem -= _binomial(rng, rem, ratio, out[l], ws)
     return out.T
 
 
-def _step(
-    rngs: Sequence[np.random.Generator],
-    cuts: Sequence[int],
-    p: np.ndarray,
-    M: int,
-    ws: _Workspace,
-) -> int:
+def _step(rng: np.random.Generator, size: int, p: np.ndarray, M: int, ws: _Workspace) -> int:
     """One level of the occupancy kernel, in place on the entries held in ``ws``.
 
-    The level is the first ``size = cuts[-1]`` items of the "codes"
-    (ascending int64 word codes) and "counts" (path counts) buffers. Entry
-    i's M*counts[i] child paths split over the children codes[i]*N + l,
-    l = 0..N-1, by one multinomial draw per entry, in entry order; entries
-    cuts[s]..cuts[s+1]-1 draw from ``rngs[s]``. The children with nonzero
+    The level is the first ``size`` items of the "codes" (ascending int64
+    word codes) and "counts" (path counts) buffers. Entry i's M*counts[i]
+    child paths split over the children codes[i]*N + l, l = 0..N-1, by one
+    multinomial draw per entry, in entry order. The children with nonzero
     counts replace the entries in (entry, l) order, so ascending codes stay
     ascending; returns their number. The compaction runs in pieces of
     _PIECE (entry, letter) cells, so its temporaries stay small, and finds a
     piece's nonzero cells through a bool mask, which ``flatnonzero`` scans
     faster than the int64 counts.
     """
-    N, size = p.shape[0], cuts[-1]
+    N = p.shape[0]
     counts = ws.array("counts", size)
-    splits = _multinomial_split(rngs, cuts, np.multiply(counts, M, out=counts), p, ws)
+    splits = _multinomial_split(rng, np.multiply(counts, M, out=counts), p, ws)
     del counts  # the draws reused its buffer; nothing holds it if "counts" grows
-    codes = ws.array("rows", size)  # the draws' scratch takes the inputs, so "codes"
-    codes[...] = ws.array("codes", size)  # can grow without holding its old buffer
+    # the inputs' array and the draws' scratch trade roles: "codes" can grow, and no copy
+    codes, ws["codes"], ws["rows"] = ws.array("codes", size), ws["rows"], ws["codes"]
     end = int(np.count_nonzero(splits.T))
     new_codes, new_counts = ws.array("codes", end), ws.array("counts", end)
     rows = min(size, _PIECE // N)
@@ -441,7 +397,7 @@ def evolve(occ: OccupancyMap, p: ProbVector, rng: np.random.Generator) -> Occupa
     # row indices as codes: child i*N + l is row i extended by letter l+1
     ws.array("codes", Z)[...] = np.arange(Z)
     ws.array("counts", Z)[...] = occ.counts
-    size = _step([rng], [0, Z], p.as_array(), occ.M, ws)
+    size = _step(rng, Z, p.as_array(), occ.M, ws)
     codes = ws.array("codes", size)
     words = np.empty((size, occ.level + 1), dtype=np.int32)
     words[:, :-1] = occ.words[codes // N]
@@ -491,57 +447,45 @@ def _block_z(
     M: int,
     depth: int,
     master_seed: int,
-    first: int,
-    sizes: Sequence[int],
+    block: int,
+    size: int,
     ws: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial Z at levels 0..depth, and the level-depth words, of one batch.
+    """Per-trial Z at levels 0..depth, and the level-depth words, of one block.
 
-    The batch is the blocks first, first + 1, ..., block first + s holding
-    sizes[s] trials and drawing from ``_trial_rng(master_seed, first + s)``
-    alone, just as it would if it ran by itself. Trial j of the batch starts
-    as code j, so a code at level k is j*N^k + word, entries stay ordered by
-    (trial, word) and each block's entries are one contiguous segment; a
-    level is one ``_step`` over them all. Returns an int64 array of shape
-    (depth + 1, sum(sizes)) and the int64 words (codes mod N^depth) that the
-    batch's trials occupy at level depth, each trial's ascending. Every
+    The block's ``size`` trials draw from ``_trial_rng(master_seed, block)``
+    alone, and each of its levels is one ``_step`` on that stream. Trial j
+    of the block starts as code j, so a code at level k is j*N^k + word and
+    entries stay ordered by (trial, word). Returns an int64 array of shape
+    (depth + 1, size) and the int64 words (codes mod N^depth) that the
+    block's trials occupy at level depth, each trial's ascending. Every
     level runs in ``ws``, the worker's workspace, which it passes to its
-    next batch: the words are a view of its "codes" array, valid until
+    next block: the words are a view of its "codes" array, valid until
     ``ws`` is used again.
     """
     N = p.shape[0]
-    rngs = [_trial_rng(master_seed, first + s) for s in range(len(sizes))]
-    offsets = np.cumsum([0, *sizes])  # the batch's first trial of each block, then its size
-    size = int(offsets[-1])
+    rng = _trial_rng(master_seed, block)
     ws.array("codes", size)[...] = np.arange(size)
     ws.array("counts", size).fill(1)
     zs = np.ones((depth + 1, size), dtype=np.int64)
     j = np.arange(size + 1, dtype=np.int64)
-    cuts = offsets.tolist()
+    entries = size
     for k in range(1, depth + 1):
-        entries = _step(rngs, cuts, p, M, ws)
+        entries = _step(rng, entries, p, M, ws)
         # trial j's codes fill [starts[j], starts[j + 1]) of the sorted codes; no view
         # of "codes" is held across a step, which may grow it
-        starts = np.searchsorted(ws.array("codes", entries), j * N**k)
-        zs[k] = np.diff(starts)
-        cuts = starts[offsets].tolist()
+        zs[k] = np.diff(np.searchsorted(ws.array("codes", entries), j * N**k))
     words = ws.array("codes", entries)
     return zs, np.remainder(words, N**depth, out=words)
 
 
 def _block_trials(N: int, M: int, depth: int) -> int:
-    """Trials a block: B = max(1, _BLOCK_ENTRIES // min(N, M)^depth)."""
-    return max(1, _BLOCK_ENTRIES // min(N, M) ** depth)
+    """Trials a block: B = max(1, min(_BLOCK_ENTRIES // min(N, M)^depth, _INT64_MAX // N^depth)).
 
-
-def _batch_blocks(N: int, M: int, depth: int) -> int:
-    """Blocks a batch: the most G >= 1 with G*B*min(N, M)^depth <= _BATCH_ENTRIES.
-
-    G is also kept to G*B*N^depth <= _INT64_MAX, so a batch's word codes fit
-    int64 wherever a block's do.
+    B > 1 trials hold at most _BLOCK_ENTRIES words a level, and their word
+    codes j*N^depth + word fit int64.
     """
-    B = _block_trials(N, M, depth)
-    return max(1, min(_BATCH_ENTRIES // (B * min(N, M) ** depth), _INT64_MAX // (B * N**depth)))
+    return max(1, min(_BLOCK_ENTRIES // min(N, M) ** depth, _INT64_MAX // N**depth))
 
 
 def _ordered_map(fn: Callable, items: Sequence, workers: int) -> Iterator:
@@ -585,35 +529,31 @@ def _trial_blocks(
     master_seed: int,
     threads: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``_block_z`` of every batch, yielded in batch order as it is consumed.
+    """``_block_z`` of every block, yielded in block order as it is consumed.
 
-    Blocks are the unit of randomness, one stream each; batches of
-    ``_batch_blocks`` consecutive blocks are the unit of work. Batches are
-    independent and workers share no mutable state: each runs its batches
-    in the workspace ``_ordered_map`` hands it, so a pool of ``threads``
-    workers maps over the batches without changing any result. Serial, a
-    batch's words are a view of the workspace, read before the next batch
-    is drawn; pooled, a worker copies them, since it runs its next batch
-    before this one is read.
+    Blocks of ``_block_trials`` trials, one stream each, are independent and
+    workers share no mutable state: each runs its blocks in the workspace
+    ``_ordered_map`` hands it, so a pool of ``threads`` workers maps over the
+    blocks without changing any result. Serial, a block's words are a view
+    of the workspace, read before the next block is drawn; pooled, a worker
+    copies them, since it runs its next block before this one is read.
     """
     B = _block_trials(p.N, M, depth)
-    G = _batch_blocks(p.N, M, depth)
-    blocks = -(-trials // B)
     parr = p.as_array()
 
-    def run(first: int, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
-        sizes = [min(B, trials - b * B) for b in range(first, min(first + G, blocks))]
-        zs, words = _block_z(parr, M, depth, master_seed, first, sizes, ws)
+    def run(b: int, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+        zs, words = _block_z(parr, M, depth, master_seed, b, min(B, trials - b * B), ws)
         return zs, words.copy() if threads > 1 else words
 
-    yield from _ordered_map(run, range(0, blocks, G), threads)
+    yield from _ordered_map(run, range(-(-trials // B)), threads)
 
 
 def _check_budgets(N: int, M: int, depth: int, trials: int, master_seed: int) -> None:
     """Argument checks and bounds shared by ``run_trials`` and ``z_distribution``.
 
     A block of ``min(B, trials)`` trials codes its level-depth words as
-    j*N^depth + word, so that product must fit int64; one trial holds at most
+    j*N^depth + word, so that product must fit int64, which B's own cap
+    ensures wherever N^depth alone does; one trial holds at most
     min(N, M)^depth words a level.
     """
     if M < 2:
@@ -647,19 +587,16 @@ def run_trials(
 ) -> TrialStats:
     """Simulate ``trials`` independent labelings and aggregate Z statistics.
 
-    Trials fall in blocks of B = max(1, _BLOCK_ENTRIES // min(N, M)^depth)
-    trials; block b covers trials [b*B, (b+1)*B) and draws from
-    Generator(PCG64(SeedSequence(master_seed, spawn_key=(b,)))), a
-    counter-style derivation. When B == 1 that is one stream per trial.
-    Blocks are the unit of randomness and batches of ``_batch_blocks``
-    consecutive blocks the unit of work: a batch advances all its trials
-    through each level together, each block on its own stream, so results
-    do not depend on the batch size. Batches are independent, so a pool of
-    ``threads`` workers maps over them and reproduces a serial run bit for
-    bit. ``z_distribution``
-    at the same seed histograms these same trials. The interval geometry of
-    ``spec`` does not enter the counts; it is accepted to pin N and to keep
-    one config object per experiment.
+    Trials advance in blocks of B = max(1, min(_BLOCK_ENTRIES //
+    min(N, M)^depth, _INT64_MAX // N^depth)) trials; block b covers trials
+    [b*B, (b+1)*B) and draws from Generator(PCG64(SeedSequence(master_seed,
+    spawn_key=(b,)))) alone, a counter-style derivation, and each of its
+    levels is one ``_step`` over all its trials on that stream. When
+    B == 1 that is one stream per trial. Blocks are independent, so a pool
+    of ``threads`` workers maps over them and reproduces a serial run bit
+    for bit. ``z_distribution`` at the same seed histograms these same
+    trials. The interval geometry of ``spec`` does not enter the counts; it
+    is accepted to pin N and to keep one config object per experiment.
     """
     N = p.N
     if spec.N != N:
@@ -716,10 +653,9 @@ def z_distribution(
 
     Returns one ``{z: number of trials}`` histogram per level, keys
     ascending. The trials are those of ``run_trials`` at the same
-    ``master_seed``: the same blocks of B = max(1, _BLOCK_ENTRIES //
-    min(N, M)^depth) trials on the same per-block streams, run in the same
-    batches of blocks, so these histograms reproduce its z_mean, z_min and
-    z_max.
+    ``master_seed``: the same blocks of B = max(1, min(_BLOCK_ENTRIES //
+    min(N, M)^depth, _INT64_MAX // N^depth)) trials, each on its own stream,
+    so these histograms reproduce its z_mean, z_min and z_max.
     """
     _check_budgets(p.N, M, depth, trials, master_seed)
     hists: list[Counter] = [Counter() for _ in range(depth + 1)]

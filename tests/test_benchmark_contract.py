@@ -71,3 +71,18 @@ def test_benchmark_tests_pass():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+
+
+def test_mc_workloads_pass_their_output_checks():
+    # the simulate and z_distribution operations at two workload seeds, through the
+    # benchmark's own gates, so a stream layout they reject fails here first; and the
+    # traced pass's thread-pool row, which calls run_trials(threads=)
+    for name in ("mc-shallow", "mc-deep"):
+        for seed in (1, 2):
+            for op in workloads.WORKLOADS[name].ops(seed):
+                code, text = op.run()
+                assert code == 0, (name, seed, op.id)
+                assert op.check(text) == [], (name, seed, op.id)
+    rows = workloads.thread_rows(1, 2)
+    assert sorted(rows) == ["threads1_s", "threads2_s"]
+    assert min(rows.values()) > 0.0

@@ -4,14 +4,16 @@ Everything here is deterministic given the seeds baked into the tests, so
 failures are reproducible bit for bit.
 """
 
+import hashlib
+import json
 import math
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -331,7 +333,7 @@ def _dense_block_z(rng, parr, M, depth, size, union):
         occupied = np.nonzero(state)[0]
         child = np.zeros(state.size * N, dtype=np.int64)
         splits = stochastic._multinomial_split(
-            [rng], [0, occupied.size], M * state[occupied], parr, stochastic._Workspace()
+            rng, M * state[occupied], parr, stochastic._Workspace()
         )
         child.reshape(state.size, N)[occupied, :] = splits
         state = child
@@ -345,7 +347,7 @@ def _dict_evolve(occ, p, rng):
     """Reference level step over a dict of label-word tuples, row by row."""
     words = [tuple(w) for w in occ.words.tolist()]
     splits = stochastic._multinomial_split(
-        [rng], [0, occ.counts.size], occ.M * occ.counts, p.as_array(), stochastic._Workspace()
+        rng, occ.M * occ.counts, p.as_array(), stochastic._Workspace()
     )
     entries = {}
     for i, w in enumerate(words):
@@ -412,9 +414,7 @@ class TestBinomialSampler:
         n = shuffle.permutation(np.repeat(np.arange(limit + 1, dtype=np.int64), 40))
         n = np.concatenate([[0, 0, limit], n, [limit, 1, 0]])
         ours, ref = np.random.default_rng(2024), np.random.default_rng(2024)
-        got = stochastic._binomial(
-            [ours], [0, n.size], n, ratio, np.empty_like(n), stochastic._Workspace()
-        )
+        got = stochastic._binomial(ours, n, ratio, np.empty_like(n), stochastic._Workspace())
         assert np.array_equal(got, ref.binomial(n, ratio))
         # the same uniforms were consumed: n = 0 entries draw none
         assert ours.random() == ref.random()
@@ -423,9 +423,7 @@ class TestBinomialSampler:
         # every entry inverted: the split is the old per-column rng.binomial loop
         p = np.array([0.6, 0.3, 0.1])  # ratios 0.6 and 0.75, both drawn flipped
         n = np.random.default_rng(5).integers(0, 40, 5000)
-        got = stochastic._multinomial_split(
-            [np.random.default_rng(9)], [0, n.size], n, p, stochastic._Workspace()
-        )
+        got = stochastic._multinomial_split(np.random.default_rng(9), n, p, stochastic._Workspace())
         rng, rem, want = np.random.default_rng(9), n.copy(), []
         for ratio in (0.6, 0.3 / 0.4):
             want.append(rng.binomial(rem, ratio))
@@ -449,8 +447,7 @@ class TestBinomialSampler:
         T = 20000
         n = np.random.default_rng(len(ns)).permutation(np.repeat(np.array(ns, dtype=np.int64), T))
         draws = stochastic._binomial(
-            [np.random.default_rng(77)], [0, n.size], n, ratio, np.empty_like(n),
-            stochastic._Workspace(),
+            np.random.default_rng(77), n, ratio, np.empty_like(n), stochastic._Workspace()
         )
         for size in ns:
             stat, df = _chi_square(draws[n == size], _binomial_pmf(size, ratio))
@@ -468,19 +465,17 @@ class TestBinomialSampler:
         want = next(k for k, c in enumerate(np.cumsum(_binomial_pmf(n, 0.5))) if c >= 0.3)
         rng = _ScriptedUniforms([top], [0.3])
         out = np.empty(1, np.int64)
-        got = stochastic._binomial([rng], [0, 1], np.array([n]), 0.5, out, stochastic._Workspace())
+        got = stochastic._binomial(rng, np.array([n]), 0.5, out, stochastic._Workspace())
         assert got.tolist() == [want]
         assert rng.draws == []
         # the same column beside a zero and a fallback entry, in a used workspace
         ws = stochastic._Workspace()
         n_used = np.arange(1000)
-        stochastic._binomial(
-            [np.random.default_rng(1)], [0, n_used.size], n_used, 0.5, np.empty_like(n_used), ws
-        )
+        stochastic._binomial(np.random.default_rng(1), n_used, 0.5, np.empty_like(n_used), ws)
         rng = _ScriptedUniforms([top], [0.3])
         rng.binomial = lambda n, ratio: np.full(n.shape, -1)  # marks the fallback entries
         n3 = np.array([0, n, 1000])
-        got = stochastic._binomial([rng], [0, 3], n3, 0.5, np.empty(3, np.int64), ws)
+        got = stochastic._binomial(rng, n3, 0.5, np.empty(3, np.int64), ws)
         assert got.tolist() == [0, want, -1]
         assert rng.draws == []
 
@@ -498,14 +493,14 @@ class TestBinomialSampler:
 
 class TestKernelOracles:
     def test_sparse_kernel_matches_dense_loop_per_trial(self):
-        # N = M = 2 at depth 17: 2^17 > _BLOCK_ENTRIES, so one trial a block
-        N, M, depth, seed = 2, 2, 17, 99
+        # N = M = 2 at depth 19: 2^19 > _BLOCK_ENTRIES, so one trial a block
+        N, M, depth, seed = 2, 2, 19, 99
         assert stochastic._BLOCK_ENTRIES // min(N, M) ** depth == 0
         parr = SYM.as_array()
         for t in range(3):
             union = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
             want = _dense_block_z(stochastic._trial_rng(seed, t), parr, M, depth, 1, union)
-            got, words = stochastic._block_z(parr, M, depth, seed, t, [1], stochastic._Workspace())
+            got, words = stochastic._block_z(parr, M, depth, seed, t, 1, stochastic._Workspace())
             assert np.array_equal(got, want)
             assert len(words) == got[depth, 0]
             # the deepest words, then every lower level as their prefixes
@@ -518,58 +513,44 @@ class TestKernelOracles:
     @pytest.mark.parametrize(
         "p, M, depth, trials, seed",
         [
-            # one trial a block: 2^17 > _BLOCK_ENTRIES
-            ((0.5, 0.5), 2, 17, 4, 5),
-            # blocks of B = 4 and B = 16 trials (N = 3), each run ending in a partial block
-            ((0.2, 0.8), 2, 14, 10, 6),
-            ((0.1, 0.3, 0.6), 2, 12, 20, 1),
+            # one trial a block: 2^19 > _BLOCK_ENTRIES
+            ((0.5, 0.5), 2, 19, 4, 5),
+            # blocks of B = 4 and B = 13 trials (N = M = 3), each run ending in a partial block
+            ((0.2, 0.8), 2, 16, 10, 6),
+            ((0.1, 0.3, 0.6), 3, 9, 20, 1),
+            # the mc-shallow depth: 3 blocks of B = 1024 trials, the last of 952
+            ((0.1, 0.9), 2, 8, 3000, 3),
         ],
-        ids=["B1-N2-depth17", "B4-N2-depth14", "B16-N3-depth12"],
+        ids=["B1-N2-depth19", "B4-N2-depth16", "B13-N3-depth9", "B1024-N2-depth8"],
     )
     def test_run_trials_matches_dense_loop(self, p, M, depth, trials, seed):
         pv = ProbVector(p)
-        N, parr = pv.N, pv.as_array()
-        B = stochastic._block_trials(N, M, depth)
-        union = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
-        zs = np.concatenate(
-            [
-                _dense_block_z(
-                    stochastic._trial_rng(seed, b), parr, M, depth, min(B, trials - b * B), union
-                )
-                for b in range(-(-trials // B))
-            ],
-            axis=1,
-        )
-        s = run_trials(canonical_spec(N, 1 / (N + 1)), pv, M, depth, trials, master_seed=seed)
-        assert s.z_mean == tuple(zs.sum(axis=1) / trials)
-        assert s.z_min == tuple(zs.min(axis=1).tolist())
-        assert s.z_max == tuple(zs.max(axis=1).tolist())
-        assert s.z_union == (1,) + tuple(int(u.sum()) for u in union)
-        assert s.z_union[depth] < N**depth  # unsaturated, so every level's union is tested
+        s = _assert_trials_match_dense_blocks(pv, M, depth, trials, seed)
+        assert s.z_union[depth] < pv.N**depth  # unsaturated, so every level's union is tested
 
     def test_thread_count_is_invisible_across_blocks(self):
-        # depth 8 gives blocks of 256 trials, so 1000 trials span 4 blocks
+        # depth 8 gives blocks of 1024 trials, so 3000 trials span 3 blocks
         runs = [
-            run_trials(THIRDS_SPEC, SYM, 2, 8, 1000, master_seed=23, threads=k)
+            run_trials(THIRDS_SPEC, SYM, 2, 8, 3000, master_seed=23, threads=k)
             for k in (1, 2, 3)
         ]
         assert runs[0] == runs[1] == runs[2]
 
     def test_shared_union_survives_thread_switching(self):
-        # depth 14 gives blocks of 4 trials: 12 blocks over 8 workers, all
+        # depth 16 gives blocks of 4 trials: 12 blocks over 8 workers, all
         # storing into one union bitmap per level while threads switch often
         p = ProbVector((0.2, 0.8))
-        serial = run_trials(THIRDS_SPEC, p, 2, 14, 48, master_seed=6)
+        serial = run_trials(THIRDS_SPEC, p, 2, 16, 48, master_seed=6)
         interval_ = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             start = time.perf_counter()
-            pooled = run_trials(THIRDS_SPEC, p, 2, 14, 48, master_seed=6, threads=8)
+            pooled = run_trials(THIRDS_SPEC, p, 2, 16, 48, master_seed=6, threads=8)
         finally:
             sys.setswitchinterval(interval_)
         assert time.perf_counter() - start < 30.0
         assert pooled == serial
-        assert serial.z_union[14] < 2**14  # unsaturated, so a lost store would show
+        assert serial.z_union[16] < 2**16  # unsaturated, so a lost store would show
 
     def test_z_distribution_histograms_the_run_trials_trials(self):
         p = ProbVector((0.3, 0.7))
@@ -594,15 +575,46 @@ class TestKernelOracles:
             assert occ.counts.tolist() == ref.counts.tolist()
 
 
-# (p, M, depth, trials, seed) in run order: one trial a block (2^17 > _BLOCK_ENTRIES)
-# and Z grows to about 25k entries, then blocks of B = 4 and B = 16 trials (N = 3) with
-# smaller, then larger, levels, then N = 2, M = 3, p = (0.8, 0.2), whose split ratio
-# 0.8 sends n > 150 paths to Generator.binomial; each run ends in a partial block
+def _assert_trials_match_dense_blocks(p, M, depth, trials, seed):
+    """Each block, ``run_trials`` and ``z_distribution`` against ``_dense_block_z``.
+
+    The dense loop runs block by block, each block on its own stream.
+    Returns the ``run_trials`` stats.
+    """
+    N, parr = p.N, p.as_array()
+    B = stochastic._block_trials(N, M, depth)
+    union = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
+    zs = []
+    for b, (got, words) in enumerate(stochastic._trial_blocks(p, M, depth, trials, seed, 1)):
+        own = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
+        rng = stochastic._trial_rng(seed, b)
+        zs.append(_dense_block_z(rng, parr, M, depth, min(B, trials - b * B), own))
+        assert np.array_equal(got, zs[-1]), b
+        assert np.array_equal(np.unique(words), np.flatnonzero(own[depth - 1])), b
+        for u, o in zip(union, own):
+            u |= o
+    assert len(zs) == -(-trials // B)
+    zs = np.concatenate(zs, axis=1)
+    s = run_trials(canonical_spec(N, 1 / (N + 1)), p, M, depth, trials, master_seed=seed)
+    assert s.z_mean == tuple(zs.sum(axis=1) / trials)
+    assert s.z_min == tuple(zs.min(axis=1).tolist())
+    assert s.z_max == tuple(zs.max(axis=1).tolist())
+    assert s.z_union == (1,) + tuple(int(u.sum()) for u in union)
+    hists = [dict(sorted(Counter(row).items())) for row in zs.tolist()]
+    assert z_distribution(p, M, depth, trials, seed) == hists
+    return s
+
+
+# (p, M, depth, trials, seed) in run order: one trial a block (2^19 > _BLOCK_ENTRIES)
+# and Z grows to about 90k entries, then blocks of B = 4 and B = 13 trials (N = M = 3)
+# with smaller, then larger, levels, then N = 2, M = 3, p = (0.8, 0.2) with B = 512,
+# whose split ratio 0.8 sends n > 150 paths to Generator.binomial; each run ends in a
+# partial block
 WORKSPACE_RUNS = [
-    ((0.5, 0.5), 2, 17, 3, 5),
-    ((0.2, 0.8), 2, 14, 10, 6),
-    ((0.1, 0.3, 0.6), 2, 12, 20, 1),
-    ((0.8, 0.2), 3, 7, 700, 2),
+    ((0.5, 0.5), 2, 19, 3, 5),
+    ((0.2, 0.8), 2, 16, 10, 6),
+    ((0.1, 0.3, 0.6), 3, 9, 20, 1),
+    ((0.8, 0.2), 3, 9, 700, 2),
 ]
 
 
@@ -620,9 +632,9 @@ class TestWorkspace:
                 union = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
                 want = _dense_block_z(stochastic._trial_rng(seed, b), parr, M, depth, size, union)
                 fresh, fresh_words = stochastic._block_z(
-                    parr, M, depth, seed, b, [size], stochastic._Workspace()
+                    parr, M, depth, seed, b, size, stochastic._Workspace()
                 )
-                got, words = stochastic._block_z(parr, M, depth, seed, b, [size], ws)
+                got, words = stochastic._block_z(parr, M, depth, seed, b, size, ws)
                 assert np.array_equal(got, want)
                 assert np.array_equal(fresh, want)
                 assert np.array_equal(words, fresh_words)
@@ -647,7 +659,7 @@ class TestWorkspace:
         ws.array("counts", 1)[...] = 1
         size = 1
         for _ in range(7):
-            size = stochastic._step([rng], [0, size], np.array([0.8, 0.2]), 3, ws)
+            size = stochastic._step(rng, size, np.array([0.8, 0.2]), 3, ws)
         assert rng.fallback > 0
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -680,13 +692,13 @@ class TestWorkspace:
         parr = ProbVector(p).as_array()
         ws = stochastic._Workspace()
         for b in range(3):  # warm: the workspace grows to the largest of these blocks
-            stochastic._block_z(parr, 2, depth, 7, b, [size], ws)
+            stochastic._block_z(parr, 2, depth, 7, b, size, ws)
         tracemalloc.start()
         try:
             for b in range(3):
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                _, words = stochastic._block_z(parr, 2, depth, 7, b, [size], ws)
+                _, words = stochastic._block_z(parr, 2, depth, 7, b, size, ws)
                 transient = tracemalloc.get_traced_memory()[1] - before
                 # one temporary of at most 64 KB at a time (a piece's indices), and
                 # the state is too big to hide an array of its size under that bound
@@ -711,156 +723,71 @@ class TestWorkspace:
             assert peak <= C * 8 * max(s.z_max) + 2**depth, (seed, peak, max(s.z_max))
 
 
-# (p, M, depth, trials, seed): batches of G = 4 blocks, each run ending in a partial
-# block: N = M = 2 with B = 256 over two batches, N = 3 with B = 256, and the flip and
-# fallback shape of WORKSPACE_RUNS with B = 512
-BATCH_RUNS = [
-    ((0.5, 0.5), 2, 8, 1100, 3),
-    ((0.1, 0.3, 0.6), 2, 8, 900, 4),
-    ((0.8, 0.2), 3, 7, 700, 2),
-]
-
-
-class _Recorded(_ScriptedUniforms):
-    """Scripted uniforms that log every call; a fallback entry draws -1."""
-
-    def __init__(self, *draws):
-        super().__init__(*draws)
-        self.calls = []
-
-    def random(self, size=None, out=None):
-        u = super().random(size, out)
-        self.calls.append(("random", u.tolist()))
-        return u
-
-    def binomial(self, n, ratio):
-        self.calls.append(("binomial", n.tolist()))
-        return np.full(n.shape, -1)
-
-
-class TestBatches:
-    @pytest.mark.parametrize("p, M, depth, trials, seed", BATCH_RUNS)
-    def test_each_block_of_a_batch_matches_its_dense_loop(self, p, M, depth, trials, seed):
-        pv = ProbVector(p)
-        N, parr = pv.N, pv.as_array()
-        B, G = stochastic._block_trials(N, M, depth), stochastic._batch_blocks(N, M, depth)
-        blocks = -(-trials // B)
-        assert G == 4 and blocks > 1 and trials % B
-        ws = stochastic._Workspace()
-        for first in range(0, blocks, G):
-            sizes = [min(B, trials - b * B) for b in range(first, min(first + G, blocks))]
-            zs, words = stochastic._block_z(parr, M, depth, seed, first, sizes, ws)
-            ends = np.concatenate([[0], np.cumsum(zs[depth])])  # trial j's words: ends[j]:ends[j+1]
-            t = 0
-            for s, size in enumerate(sizes):
-                union = [np.zeros(N ** (k + 1), dtype=bool) for k in range(depth)]
-                rng = stochastic._trial_rng(seed, first + s)
-                want = _dense_block_z(rng, parr, M, depth, size, union)
-                assert np.array_equal(zs[:, t : t + size], want), (first, s)
-                block_words = words[ends[t] : ends[t + size]]
-                assert np.array_equal(np.unique(block_words), np.flatnonzero(union[depth - 1]))
-                t += size
-
-    @pytest.mark.parametrize("fast_path", [True, False], ids=["all-table", "zero-and-fallback"])
-    def test_redraw_in_a_later_block_stays_on_its_stream(self, fast_path):
-        # as in test_uniform_past_the_last_cdf_step_is_redrawn, on the second of three
-        # segments; each stream must see the calls of its segment's lone run, in order
-        table = stochastic._inversion_table(0.5)
-        W = 1 << table.shift
-        cdf = table.cdf.reshape(-1, W)
-        ends = np.where(cdf < 2.0, cdf, -1.0).max(axis=1)
-        top = 1.0 - 2.0**-53
-        n_edge = int(np.flatnonzero(ends < top)[0])
-        want = next(k for k, c in enumerate(np.cumsum(_binomial_pmf(n_edge, 0.5))) if c >= 0.3)
-        extra = [] if fast_path else [0, 1000]
-        segments = [
-            (np.array([3, n_edge]), [[0.2, 0.6]]),
-            (np.array([n_edge, 5, n_edge] + extra), [[0.5, 0.4, top], [0.3]]),
-            (np.array(extra[::-1] + [7]), [[0.9]]),
-        ]
-        lone = []
-        for n, draws in segments:
-            rng = _Recorded(*draws)
-            out = stochastic._binomial(
-                [rng], [0, n.size], n, 0.5, np.empty_like(n), stochastic._Workspace()
-            )
-            assert rng.draws == []
-            lone.append((out.tolist(), rng.calls))
-        assert lone[1][0][2] == want  # the redrawn entry inverts its second uniform
-        rngs = [_Recorded(*draws) for _, draws in segments]
-        n = np.concatenate([n for n, _ in segments])
-        cuts = np.cumsum([0] + [n.size for n, _ in segments]).tolist()
-        got = stochastic._binomial(rngs, cuts, n, 0.5, np.empty_like(n), stochastic._Workspace())
-        for s, (out, calls) in enumerate(lone):
-            assert got[cuts[s] : cuts[s + 1]].tolist() == out
-            assert rngs[s].calls == calls
-            assert rngs[s].draws == []
-        assert fast_path or ("binomial", [1000]) in lone[1][1]
-
-    def test_level_steps_are_one_per_batch_and_level(self, monkeypatch):
+class TestBlocks:
+    def test_level_steps_are_one_per_block_and_level(self, monkeypatch):
         streams = []
         step = stochastic._step
 
-        def counted(rngs, cuts, p, M, ws):
-            streams.append(len(rngs))
-            return step(rngs, cuts, p, M, ws)
+        def counted(rng, size, p, M, ws):
+            streams.append(rng)  # held, so no two streams share an id
+            return step(rng, size, p, M, ws)
 
         monkeypatch.setattr(stochastic, "_step", counted)
-        # depth 8: 40 blocks of B = 256 trials in batches of G = 4
-        G = stochastic._batch_blocks(2, 2, 8)
+        # depth 8: 10 blocks of B = 1024 trials, the last of 784
         run_trials(THIRDS_SPEC, SYM, 2, 8, 10**4, master_seed=1)
-        assert G == 4 and len(streams) == 8 * -(-40 // G) == 80
-        # depth 20: one trial a block and one block a batch
+        assert stochastic._block_trials(2, 2, 8) == 1024
+        assert len(streams) == 8 * 10 == 80
+        # each block's levels run on its one stream, a stream no other block draws from
+        assert [len({id(rng) for rng in streams[i : i + 8]}) for i in range(0, 80, 8)] == [1] * 10
+        assert len({id(rng) for rng in streams}) == 10
+        # depth 20: one trial a block, and one step a level a trial
         streams.clear()
         run_trials(THIRDS_SPEC, SYM, 2, 20, 2, master_seed=1)
-        assert stochastic._batch_blocks(2, 2, 20) == stochastic._batch_blocks(2, 2, 18) == 1
-        assert streams == [1] * 40
+        assert stochastic._block_trials(2, 2, 20) == stochastic._block_trials(2, 2, 18) == 1
+        assert len(streams) == 40 and len({id(rng) for rng in streams}) == 2
 
-    def test_thread_count_is_invisible_across_batches(self):
-        # 3000 trials at depth 8: 12 blocks in 3 batches, the last block partial
-        runs = [run_trials(THIRDS_SPEC, SYM, 2, 8, 3000, master_seed=29, threads=k) for k in (1, 2)]
-        assert runs[0] == runs[1]
-
-    def test_batch_word_codes_fit_int64(self):
-        # N = 15, M = 2 at depth 16: one trial a block, and a batch of 4 trials would code
-        # its words as j*N^16 + word past 2^63; z_distribution keeps no N^depth union, so
-        # it runs this shape
+    def test_block_word_codes_fit_int64(self):
+        # N = 15, M = 2 at depth 16: one trial a block, as 2 trials would code their words
+        # as j*N^16 + word past 2^63; z_distribution keeps no N^depth union, so it runs
+        # this shape, whose histograms the digest pins
         N, M, depth, trials = 15, 2, 16, 5
         assert stochastic._block_trials(N, M, depth) == 1
-        assert N**depth <= stochastic._INT64_MAX < 4 * N**depth
-        assert stochastic._batch_blocks(N, M, depth) == 1 < stochastic._BATCH_ENTRIES // M**depth
-        assert stochastic._batch_blocks(100, 2, 8) == 3  # B = 256, and 4 * B * 100^8 > 2^63
-        p = ProbVector.uniform(N)
-        batched = z_distribution(p, M, depth, trials, 3)
-        with mock.patch.object(stochastic, "_BATCH_ENTRIES", 1):
-            assert batched == z_distribution(p, M, depth, trials, 3)
+        assert N**depth <= stochastic._INT64_MAX < 2 * N**depth
+        hists = z_distribution(ProbVector.uniform(N), M, depth, trials, 3)
+        text = json.dumps([sorted(h.items()) for h in hists])
+        digest = "c8dff73a0bf7d7d42b8356aeb524bb280c2e8618c2293607d4269a5ac2fa1563"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        # N = 100: the int64 cap, not _BLOCK_ENTRIES, sets B
+        assert stochastic._block_trials(100, 2, 8) == 922 < stochastic._BLOCK_ENTRIES // 2**8
+        assert stochastic._block_trials(100, 2, 9) == 9 == stochastic._INT64_MAX // 100**9
+
+    def test_int64_capped_blocks_match_the_first_moment(self):
+        # N = 100, M = 2 at depth 9: 12 blocks of B = 9 trials, the last of 1, as 10 trials
+        # would code their words as j*N^9 + word past 2^63. The exact mean of Z_k is
+        # N^k pi_k, from the recursion, which shares no code with the kernel
+        N, M, depth, trials = 100, 2, 9, 100
+        hists = z_distribution(ProbVector.uniform(N), M, depth, trials, 5)
+        pi = pi_sequence(N, M, depth)
+        for k, hist in enumerate(hists):
+            assert sum(hist.values()) == trials
+            mean = sum(z * c for z, c in hist.items()) / trials
+            var = sum(c * (z - mean) ** 2 for z, c in hist.items()) / (trials - 1)
+            se = math.sqrt(var / trials)
+            assert abs(mean - N**k * pi[k]) <= 6 * se, (k, mean, N**k * pi[k], se)
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
-    def test_one_block_batches_change_no_result(self, data):
+    def test_trial_loop_matches_dense_blocks_property(self, data):
         N = data.draw(st.integers(2, 4), label="N")
         M = data.draw(st.integers(2, 3), label="M")
         depth = data.draw(st.integers(1, 8), label="depth")
         weights = data.draw(st.lists(st.floats(0.05, 1.0), min_size=N, max_size=N))
         p = ProbVector(tuple(w / math.fsum(weights) for w in weights))
-        # up to two batches: G >= 4 blocks a batch at these shapes
+        # one to three blocks, with at most 10^4 trials and 2^21 cells in a dense block
         B = stochastic._block_trials(N, M, depth)
-        trials = data.draw(st.integers(1, 5 * B + 1), label="trials")
+        trials = data.draw(st.integers(1, min(3 * B, 10**4, 2**21 // N**depth)), label="trials")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        _assert_batching_changes_no_result(p, M, depth, trials, seed)
-
-
-def _assert_batching_changes_no_result(p, M, depth, trials, seed):
-    """run_trials and z_distribution give the same results with one block a batch."""
-    spec = canonical_spec(p.N, 1 / (p.N + 1))
-
-    def run():
-        return run_trials(spec, p, M, depth, trials, seed), z_distribution(p, M, depth, trials, seed)
-
-    batched = run()
-    with mock.patch.object(stochastic, "_BATCH_ENTRIES", 1):
-        assert stochastic._batch_blocks(p.N, M, depth) == 1
-        assert run() == batched
+        _assert_trials_match_dense_blocks(p, M, depth, trials, seed)
 
 
 class TestEstimateDim:
