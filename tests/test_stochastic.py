@@ -520,8 +520,10 @@ class TestKernelOracles:
             ((0.1, 0.3, 0.6), 3, 9, 20, 1),
             # the mc-shallow depth: 3 blocks of B = 1024 trials, the last of 952
             ((0.1, 0.9), 2, 8, 3000, 3),
+            # N = 3, M = 2: min(N, M) = 2 sets B = 64, so all 20 trials fit one block
+            ((0.1, 0.3, 0.6), 2, 12, 20, 1),
         ],
-        ids=["B1-N2-depth19", "B4-N2-depth16", "B13-N3-depth9", "B1024-N2-depth8"],
+        ids=["B1-N2-depth19", "B4-N2-depth16", "B13-N3-depth9", "B1024-N2-depth8", "B64-N3-depth12"],
     )
     def test_run_trials_matches_dense_loop(self, p, M, depth, trials, seed):
         pv = ProbVector(p)
@@ -788,6 +790,29 @@ class TestBlocks:
         trials = data.draw(st.integers(1, min(3 * B, 10**4, 2**21 // N**depth)), label="trials")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         _assert_trials_match_dense_blocks(p, M, depth, trials, seed)
+
+
+# (p, M, depth, trials, seed): shapes that once advanced several blocks through each
+# level together; now blocks of B = 1024 trials (depth 8, M = 2) and B = 2048 trials
+# (depth 7, min(N, M) = 2), so the first run spans 2 blocks and the others one
+BATCH_RUNS = [
+    ((0.5, 0.5), 2, 8, 1100, 3),
+    ((0.1, 0.3, 0.6), 2, 8, 900, 4),
+    ((0.8, 0.2), 3, 7, 700, 2),
+]
+
+
+class TestBatches:
+    @pytest.mark.parametrize("p, M, depth, trials, seed", BATCH_RUNS)
+    def test_each_block_of_a_batch_matches_its_dense_loop(self, p, M, depth, trials, seed):
+        pv = ProbVector(p)
+        assert stochastic._block_trials(pv.N, M, depth) == stochastic._BLOCK_ENTRIES // 2**depth
+        _assert_trials_match_dense_blocks(pv, M, depth, trials, seed)
+
+    def test_thread_count_is_invisible_across_batches(self):
+        # 3000 trials at depth 8: 3 blocks of B = 1024 trials, the last of 952
+        runs = [run_trials(THIRDS_SPEC, SYM, 2, 8, 3000, master_seed=29, threads=k) for k in (1, 2)]
+        assert runs[0] == runs[1]
 
 
 class TestEstimateDim:
