@@ -4,9 +4,11 @@ The lower bound is min{log M, -log sum p_i^2}/log(1/r). The refined upper
 bound -phi(lambda)/log r applies only when M sits in the window between the
 entropy threshold prod p_i^{-p_i} and the geometric threshold
 (prod p_i)^{-1/N}; outside it the trivial covering bound
-min{log N, log M}/log(1/r) is all there is. ``classify`` assembles one
-report and marks the cases where the two bounds meet, so the dimension is
-known exactly.
+min{log N, log M}/log(1/r) is all there is. That choice is made in one
+place, ``_upper``, which returns the bound with the lambda root it used;
+``upper_bound`` and ``classify`` both read it. ``classify`` assembles one
+report from it and ``lower_bound``, and marks the cases where the two
+bounds meet, so the dimension is known exactly.
 """
 
 from __future__ import annotations
@@ -89,12 +91,8 @@ def lower_bound(p: ProbVector, M: int, r: float) -> float:
     """min{log M, -log sum p_i^2} / log(1/r)."""
     _check_arity(M)
     _check_ratio(p.N, r)
-    return _lower(p, M, math.log(1.0 / r))
-
-
-def _lower(p: ProbVector, M: int, log_inv_r: float) -> float:
     collision = math.fsum(x * x for x in p.values)
-    return min(math.log(M), -math.log(collision)) / log_inv_r
+    return min(math.log(M), -math.log(collision)) / math.log(1.0 / r)
 
 
 def sandwich_check(p: ProbVector, M: int) -> SandwichCheck:
@@ -163,19 +161,30 @@ def _lambda_root(p: ProbVector, M: int) -> LambdaRoot:
 def phi(p: ProbVector, M: int, x: float) -> float:
     """x log M + log sum p_i^x."""
     _check_arity(M)
-    return _phi(p, M, x)
-
-
-def _phi(p: ProbVector, M: int, x: float) -> float:
     return x * math.log(M) + math.log(math.fsum(v**x for v in p.values))
+
+
+def _upper(
+    p: ProbVector, M: int, r: float
+) -> tuple[float, float, LambdaRoot | None, SandwichCheck]:
+    """The upper bound, the trivial bound, the lambda root used and the window check.
+
+    Inside the window the bound is phi(lambda)/log(1/r); outside it, the root
+    is None and the bound is the trivial min{log N, log M}/log(1/r).
+    """
+    _check_ratio(p.N, r)
+    check = sandwich_check(p, M)  # checks M
+    log_inv_r = math.log(1.0 / r)
+    trivial = min(math.log(p.N), math.log(M)) / log_inv_r
+    if check.status != "within":
+        return trivial, trivial, None, check
+    root = _lambda_root(p, M)
+    return phi(p, M, root.value) / log_inv_r, trivial, root, check
 
 
 def upper_bound(p: ProbVector, M: int, r: float) -> float:
     """phi(lambda)/log(1/r) inside the window, else the trivial covering bound."""
-    _check_ratio(p.N, r)
-    if sandwich_check(p, M).status == "within":  # sandwich_check checks M
-        return _phi(p, M, _lambda_root(p, M).value) / math.log(1.0 / r)
-    return min(math.log(p.N), math.log(M)) / math.log(1.0 / r)
+    return _upper(p, M, r)[0]
 
 
 def xi(p: float, M: int) -> float:
@@ -205,21 +214,9 @@ def classify(p: ProbVector, M: int, r: float) -> BoundsReport:
     own identity gives the same number).
     """
     N = p.N
-    _check_ratio(N, r)
+    up, trivial, root, check = _upper(p, M, r)  # checks M and r
+    low = lower_bound(p, M, r)
     log_inv_r = math.log(1.0 / r)
-    check = sandwich_check(p, M)  # checks M
-    low = _lower(p, M, log_inv_r)
-    trivial = min(math.log(N), math.log(M)) / log_inv_r
-    lam: float | None = None
-    lam_degenerate = False
-    if check.status == "within":
-        root = _lambda_root(p, M)
-        lam = root.value
-        lam_degenerate = root.degenerate
-        up = _phi(p, M, lam) / log_inv_r
-    else:
-        up = trivial
-
     uniform = max(abs(x - 1.0 / N) for x in p.values) < 1e-12
     collision = math.fsum(x * x for x in p.values)
     exact: float | None = None
@@ -244,8 +241,8 @@ def classify(p: ProbVector, M: int, r: float) -> BoundsReport:
         sandwich=check.status,
         entropy_threshold=check.entropy_threshold,
         geometric_threshold=check.geometric_threshold,
-        lam=lam,
-        lam_degenerate=lam_degenerate,
+        lam=None if root is None else root.value,
+        lam_degenerate=root is not None and root.degenerate,
         exact=exact,
         exact_reason=reason,
     )

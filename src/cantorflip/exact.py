@@ -10,20 +10,24 @@ levels (``expected_zn``), and specializes to the uniform case
 (``pi_sequence``, ``gamma_fixed_point``). ``brute_force_a`` and
 ``enumerate_z_distribution`` recompute the same quantities by exhausting
 every labeling of the truncated tree; they exist so the recursions are
-tested against something that cannot share their bugs.
+tested against something that cannot share their bugs. Both run on one
+engine, ``_labeling_law``: the exact law, as {key: Fraction}, of one
+integer key a labeling, which is "some path carries w" for the first and
+Z for the second.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .bounds import _bisect
+from .bounds import _bisect, _check_arity
 from .errors import _budget_error, _checked_power
 from .ifs import label_symbols
 from .stochastic import ProbVector
@@ -46,8 +50,7 @@ def a_probability(w, p: ProbVector, M: int) -> float:
     symbols = label_symbols(w, p.N)
     if not symbols:
         raise ValueError("word must be nonempty")
-    if M < 2:
-        raise ValueError(f"arity must be at least 2, got {M}")
+    _check_arity(M)
     a = 1.0
     for l in reversed(symbols):
         a = -math.expm1(M * math.log1p(-p.values[l - 1] * a))
@@ -101,38 +104,41 @@ def _check_labelings(N: int, M: int, depth: int) -> int:
     return E
 
 
-def _digit_count_groups(
-    M: int, depth: int, N: int, keep, reduce_row=None
-) -> dict[tuple, int]:
-    """Group the kept labelings of the depth-``depth`` tree by digit counts.
+def _labeling_law(
+    N: int, M: int, depth: int, key, weights: Sequence[Fraction]
+) -> dict[int, Fraction]:
+    """Exact law of ``key`` over the N^E labelings of the depth-``depth`` tree's E edges.
 
-    Enumerates all N^E labelings (E edges) in chunks; ``keep`` maps the
-    (chunk, E) digit matrix to a boolean keep-mask, and ``reduce_row``, when
-    given, maps it to an extra integer per row that becomes part of the
-    group key. Returns {(extra?, c_0..c_{N-1}): multiplicity}.
+    Labelings are enumerated in chunks as digit rows, one digit 0..N-1 an
+    edge. ``key`` maps a chunk's int64 (chunk, M^depth, depth) array of the
+    digits along every root path to one nonnegative integer a labeling,
+    below 2^39. A labeling with digit counts c_0..c_{N-1} weighs
+    prod weights[i]^c_i, so labelings are grouped by key and digit multiset
+    and each weight is formed once. A multiset is coded by its sorted digits
+    read in base N, below N^E <= _ENUM_CAP = 2^24, so key * N^E + code fits
+    int64. Returns {key: total weight}.
     """
     E = _check_labelings(N, M, depth)
     total = N**E
     powers = N ** np.arange(E, dtype=np.int64)
-    groups: dict[tuple, int] = {}
+    prefix = _prefix_edge_indices(M, depth)
+    groups: Counter[int] = Counter()
     for start in range(0, total, _CHUNK):
         vals = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = ((vals[:, None] // powers) % N).astype(np.int8)
-        mask = keep(digits)
-        if not mask.any():
-            continue
-        kept = digits[mask]
-        counts = np.stack([(kept == i).sum(axis=1) for i in range(N)], axis=1)
-        if reduce_row is None:
-            keyed = counts
-        else:
-            extra = reduce_row(kept)
-            keyed = np.concatenate([extra[:, None], counts], axis=1)
-        uniq, mult = np.unique(keyed, axis=0, return_counts=True)
-        for row, m_ in zip(uniq.tolist(), mult.tolist()):
-            key = tuple(int(v) for v in row)
-            groups[key] = groups.get(key, 0) + m_
-    return groups
+        digits = vals[:, None] // powers % N
+        multiset = np.sort(digits, axis=1) @ powers
+        packed = key(digits[:, prefix]).astype(np.int64) * total + multiset
+        uniq, mult = np.unique(packed, return_counts=True)
+        groups.update(dict(zip(uniq.tolist(), mult.tolist())))
+    law: dict[int, Fraction] = {}
+    for group, mult in groups.items():
+        k, code = divmod(group, total)
+        weight = Fraction(mult)
+        for _ in range(E):
+            code, d = divmod(code, N)
+            weight *= weights[d]
+        law[k] = law.get(k, 0) + weight
+    return law
 
 
 def brute_force_a(w, p: ProbVector, M: int):
@@ -141,37 +147,22 @@ def brute_force_a(w, p: ProbVector, M: int):
     Sums the probability weight of every labeling of the depth-|w| tree in
     which some root path carries ``w``, grouping labelings by digit counts
     so each weight is formed once. When the entries of p round-trip through
-    small rationals the result is an exact Fraction; otherwise a float.
+    small rationals the result is that exact Fraction. Otherwise the sum is
+    taken exactly over the binary values of p and rounded once to a float.
     """
     symbols = label_symbols(w, p.N)
     if not symbols:
         raise ValueError("word must be nonempty")
-    if M < 2:
-        raise ValueError(f"arity must be at least 2, got {M}")
-    depth = len(symbols)
-    N = p.N
-    # budget check must precede the M^depth prefix table
-    _check_labelings(N, M, depth)
-    prefix = _prefix_edge_indices(M, depth)
-    target = np.asarray(symbols, dtype=np.int8) - 1
+    _check_arity(M)
+    target = np.asarray(symbols, dtype=np.int64) - 1
 
-    def keep(digits: np.ndarray) -> np.ndarray:
-        return (digits[:, prefix] == target).all(axis=2).any(axis=1)
+    def carries(paths: np.ndarray) -> np.ndarray:
+        return (paths == target).all(axis=2).any(axis=1)
 
-    groups = _digit_count_groups(M, depth, N, keep)
     rational = _exact_probs(p)
-    if rational is not None:
-        acc = Fraction(0)
-        for counts, mult in groups.items():
-            weight = Fraction(1)
-            for q, c in zip(rational, counts):
-                weight *= q**c
-            acc += mult * weight
-        return acc
-    return math.fsum(
-        mult * math.prod(x**c for x, c in zip(p.values, counts))
-        for counts, mult in groups.items()
-    )
+    weights = rational if rational is not None else [Fraction(x) for x in p.values]
+    carried = _labeling_law(p.N, M, len(symbols), carries, weights).get(1, Fraction(0))
+    return carried if rational is not None else float(carried)
 
 
 @dataclass(frozen=True)
@@ -258,8 +249,7 @@ def expected_zn(p: ProbVector, M: int, n: int) -> float:
     in ``_CHUNK``-sized pieces; the exact sum does not depend on how it is
     split.
     """
-    if M < 2:
-        raise ValueError(f"arity must be at least 2, got {M}")
+    _check_arity(M)
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
     N = p.N
@@ -298,8 +288,7 @@ def multinomial_bound(p: ProbVector, M: int, n: int, *, log: bool = False) -> fl
     the natural log, which is the usable form once the value overflows
     float range.
     """
-    if M < 2:
-        raise ValueError(f"arity must be at least 2, got {M}")
+    _check_arity(M)
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
     N = p.N
@@ -344,34 +333,15 @@ def enumerate_z_distribution(
         raise ValueError("exact probabilities must lie strictly inside (0,1)")
     if sum(probs) != 1:
         raise ValueError("exact probabilities must sum to 1 exactly")
-    if M < 2:
-        raise ValueError(f"arity must be at least 2, got {M}")
+    _check_arity(M)
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     _checked_power("N^depth = {} words in one mask", N, depth, _MASK_BITS, "_MASK_BITS")
     _check_labelings(N, M, depth)
 
-    result: list[dict[int, Fraction]] = [{1: Fraction(1)}]
-    for level in range(1, depth + 1):
-        E = _edge_count(M, level)
-        prefix = _prefix_edge_indices(M, level)
-        code_pow = N ** np.arange(level, dtype=np.int64)
+    def z_of(paths: np.ndarray) -> np.ndarray:  # codes < N^depth <= 63: masks stay nonnegative
+        codes = paths @ N ** np.arange(paths.shape[2], dtype=np.int64)
+        return np.bitwise_count(np.bitwise_or.reduce(np.left_shift(1, codes), axis=1))
 
-        def z_of(digits: np.ndarray) -> np.ndarray:
-            codes = (digits[:, prefix].astype(np.int64) * code_pow).sum(axis=2)
-            masks = np.bitwise_or.reduce(
-                np.left_shift(np.int64(1), codes), axis=1
-            ).astype(np.uint64)
-            return np.bitwise_count(masks).astype(np.int64)
-
-        groups = _digit_count_groups(
-            M, level, N, keep=lambda d: np.ones(d.shape[0], dtype=bool), reduce_row=z_of
-        )
-        dist: dict[int, Fraction] = {}
-        for (z, *counts), mult in groups.items():
-            weight = Fraction(1)
-            for q, c in zip(probs, counts):
-                weight *= q**c
-            dist[z] = dist.get(z, Fraction(0)) + mult * weight
-        result.append(dist)
-    return result
+    laws = (_labeling_law(N, M, level, z_of, probs) for level in range(1, depth + 1))
+    return [{1: Fraction(1)}, *laws]

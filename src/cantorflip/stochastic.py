@@ -39,9 +39,12 @@ each: those with n >= 1 inside numpy's binomial inversion regime (n*q <= 30,
 q = min(ratio, 1 - ratio)) and at most ``_TABLE_ROWS``. Then the column's
 other entries with n >= 1 go to ``Generator.binomial``, in entry order.
 Entries with n = 0 draw nothing. Where a column has no such fallback entry,
-its draws are those of ``Generator.binomial`` on the whole column. (A
-uniform past the last CDF step of its row, below 1e-12 a draw, is redrawn
-after the column's other table draws, where numpy redraws it at once.)
+it reads the uniforms ``Generator.binomial`` would read on the whole
+column, and its draws equal numpy's except for a uniform within a few
+hundred ulps of a CDF step, where numpy's own rounding of the same pmf may
+fall on the other side (at most 6e-13 a draw). (A uniform past the last CDF
+step of its row, below 1e-12 a draw, is redrawn after the column's other
+table draws, where numpy redraws it at once.)
 """
 
 from __future__ import annotations
@@ -173,13 +176,16 @@ class _InversionTable:
 
 @functools.lru_cache(maxsize=128)
 def _inversion_table(ratio: float) -> _InversionTable:
-    """The table for ``ratio``, built on its first use with numpy's own arithmetic.
+    """The table for ``ratio``, built on its first use with numpy's recurrence.
 
     numpy inverts Binomial(n, q) with one uniform U: X is the least k with
     U <= pmf(0) + ... + pmf(k), the pmf starting at (1 - q)^n = exp(n log(1 - q))
     and following pmf(k) = (n - k + 1) q pmf(k - 1) / (k (1 - q)); a U past
     k = bound_n = min(n, nq + 10 sqrt(nq(1 - q) + 1)) is redrawn. The rows
-    repeat those floating-point operations, so they hold numpy's own pmf.
+    repeat that recurrence from ``math.exp``'s first term and store the
+    cumulative sums. numpy's first term may differ from ``math.exp``'s by a
+    few ulps, and it subtracts each term from U instead of summing them, so
+    its thresholds sit up to a few hundred ulps from these CDF steps.
     """
     flip = ratio > 0.5
     q = 1.0 - ratio if flip else ratio
@@ -317,8 +323,9 @@ def _multinomial_split(
     inversion regime invert a uniform against a cached CDF table, and the
     rest go to ``Generator.binomial`` (exact inversion or transformed
     rejection), so no normal approximation enters at any count size. Where
-    no entry of a column goes to ``Generator.binomial``, the column is the
-    draw ``rng.binomial(rem, ratio)`` would make, from the same uniforms.
+    no entry of a column goes to ``Generator.binomial``, the column reads
+    the uniforms ``rng.binomial(rem, ratio)`` would read, and equals its draw
+    except for a uniform within a few hundred ulps of a CDF step.
     The result is a transposed view of one N x len(n) array, so each column
     is drawn in place. ``n`` is read once, before any draw, so it may be the
     "counts" array of ``ws``, which the draws then reuse.
@@ -549,13 +556,7 @@ def _trial_blocks(
 
 
 def _check_budgets(N: int, M: int, depth: int, trials: int, master_seed: int) -> None:
-    """Argument checks and bounds shared by ``run_trials`` and ``z_distribution``.
-
-    A block of ``min(B, trials)`` trials codes its level-depth words as
-    j*N^depth + word, so that product must fit int64, which B's own cap
-    ensures wherever N^depth alone does; one trial holds at most
-    min(N, M)^depth words a level.
-    """
+    """Argument checks and bounds shared by ``run_trials`` and ``z_distribution``."""
     if M < 2:
         raise ValueError(f"arity must be at least 2, got {M}")
     if master_seed < 0:
@@ -568,9 +569,7 @@ def _check_budgets(N: int, M: int, depth: int, trials: int, master_seed: int) ->
     state = _checked_power(
         "min(N, M)^depth = {} words a trial", min(N, M), depth, _TRIAL_STATE_CAP, "_TRIAL_STATE_CAP"
     )
-    codes = min(_block_trials(N, M, depth), trials) * N**depth
-    if codes > _INT64_MAX:
-        raise _budget_error(f"B * N^depth = {codes} word codes a block", _INT64_MAX, "_INT64_MAX")
+    _checked_power("N^depth = {} word codes a trial", N, depth, _INT64_MAX, "_INT64_MAX")
     if trials * state > _WORK_CAP:
         raise _budget_error(f"trials * min(N, M)^depth = {trials * state}", _WORK_CAP, "_WORK_CAP")
 

@@ -17,11 +17,18 @@ from cantorflip import (
     ProbVector,
     a_probability,
     brute_force_a,
+    classify,
     enumerate_z_distribution,
     expected_zn,
     gamma_fixed_point,
+    lower_bound,
     multinomial_bound,
+    phi,
     pi_sequence,
+    sandwich_check,
+    solve_lambda,
+    upper_bound,
+    xi,
 )
 from cantorflip import exact
 from cantorflip.errors import BudgetError
@@ -91,6 +98,21 @@ class TestBruteForce:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             brute_force_a((1,) * 30, SYM, 2)
+
+    def test_float_mode_rounds_the_exact_sum_once(self):
+        # pi/10 has no small-denominator form. At depth 1 the labelings in
+        # which some edge carries l weigh S^M - (S - p_l)^M in all, with S
+        # the exact sum of p's binary values
+        p = ProbVector((math.pi / 10, 1 - math.pi / 10))
+        S = sum(map(Fraction, p.values))
+        for l, M in itertools.product((1, 2), (2, 3, 4)):
+            want = S**M - (S - Fraction(p.values[l - 1])) ** M
+            assert brute_force_a((l,), p, M) == float(want), (l, M)
+
+    def test_large_alphabets(self):
+        # (E + 1)^N passes 2^63 at N = 40, and N = 130 labels pass int8
+        assert brute_force_a((1,), ProbVector.uniform(40), 2) == Fraction(79, 1600)
+        assert brute_force_a((1,), ProbVector.uniform(130), 2) == Fraction(259, 16900)
 
     @pytest.mark.parametrize(
         "p, M", [(SYM, 2), (SKEW, 2), (SYM, 3), (SKEW, 3)], ids=["p0", "p1", "p0-M3", "p1-M3"]
@@ -280,6 +302,10 @@ class TestEnumerateDistribution:
         with pytest.raises(ValueError):
             enumerate_z_distribution((Fraction(1, 2), Fraction(1, 3)), 2, 2)
 
+    def test_large_alphabet(self):
+        dist = enumerate_z_distribution([Fraction(1, 40)] * 40, 2, 1)
+        assert dist[1] == {1: Fraction(1, 40), 2: Fraction(39, 40)}
+
 
 HALVES = (Fraction(1, 2), Fraction(1, 2))
 BUDGET_MESSAGES = {
@@ -338,6 +364,33 @@ BUDGET_MESSAGES = {
 def test_budget_message_names_size_cap_and_constant(name):
     call, message = BUDGET_MESSAGES[name]
     with pytest.raises(BudgetError, match=message):
+        call()
+
+
+ARITY_MESSAGE = r"^arity must be at least 2, got 1$"
+PAIR_MESSAGE = r"^N and M must both be at least 2$"
+ARITY_ONE_CALLS = {
+    "lower_bound": (lambda: lower_bound(SKEW, 1, 0.25), ARITY_MESSAGE),
+    "upper_bound": (lambda: upper_bound(SKEW, 1, 0.25), ARITY_MESSAGE),
+    "phi": (lambda: phi(SKEW, 1, 0.5), ARITY_MESSAGE),
+    "sandwich_check": (lambda: sandwich_check(SKEW, 1), ARITY_MESSAGE),
+    "solve_lambda": (lambda: solve_lambda(SKEW, 1), ARITY_MESSAGE),
+    "classify": (lambda: classify(SKEW, 1, 0.25), ARITY_MESSAGE),
+    "xi": (lambda: xi(0.3, 1), ARITY_MESSAGE),
+    "a_probability": (lambda: a_probability((1,), SKEW, 1), ARITY_MESSAGE),
+    "brute_force_a": (lambda: brute_force_a((1,), SKEW, 1), ARITY_MESSAGE),
+    "expected_zn": (lambda: expected_zn(SKEW, 1, 2), ARITY_MESSAGE),
+    "multinomial_bound": (lambda: multinomial_bound(SKEW, 1, 2), ARITY_MESSAGE),
+    "enumerate_z_distribution": (lambda: enumerate_z_distribution(HALVES, 1, 1), ARITY_MESSAGE),
+    "pi_sequence": (lambda: pi_sequence(2, 1, 3), PAIR_MESSAGE),
+    "gamma_fixed_point": (lambda: gamma_fixed_point(2, 1), PAIR_MESSAGE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARITY_ONE_CALLS))
+def test_arity_one_is_refused(name):
+    call, message = ARITY_ONE_CALLS[name]
+    with pytest.raises(ValueError, match=message):
         call()
 
 

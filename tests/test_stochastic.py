@@ -4,6 +4,7 @@ Everything here is deterministic given the seeds baked into the tests, so
 failures are reproducible bit for bit.
 """
 
+import ctypes
 import hashlib
 import json
 import math
@@ -269,7 +270,7 @@ BUDGET_MESSAGES = {
     ),
     "int64 word codes": (
         lambda: z_distribution(ProbVector.uniform(1000), 2, 7, 1, 0),
-        r"B \* N\^depth = 10{21} word codes a block, "
+        r"N\^depth = 10{21} word codes a trial, "
         r"over the cap of 9223372036854775807 set by _INT64_MAX",
     ),
     "union bitmap": (
@@ -404,7 +405,96 @@ class _ScriptedUniforms:
         return out
 
 
+_uint64_fn = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
+_uint32_fn = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+_double_fn = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+
+
+class _BitgenT(ctypes.Structure):
+    """numpy's ``bitgen_t``: a state pointer and the bit generator's output functions."""
+
+    _fields_ = [
+        ("state", ctypes.c_void_p),
+        ("next_uint64", _uint64_fn),
+        ("next_uint32", _uint32_fn),
+        ("next_double", _double_fn),
+        ("next_raw", _uint64_fn),
+    ]
+
+
+_capsule_new = ctypes.PYFUNCTYPE(
+    ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p
+)(("PyCapsule_New", ctypes.pythonapi))
+
+
+class _ScriptedBitGenerator:
+    """A bit generator for ``np.random.Generator`` whose doubles are ``uniforms``, in order.
+
+    ``Generator`` reads a ``bitgen_t`` from a capsule named "BitGenerator";
+    here its ``next_double`` is a ctypes callback over the list and counts
+    the doubles read in ``used``. The integer outputs are unused and read 0.
+    """
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+        self.used = 0
+
+        def next_double(_state):
+            self.used += 1
+            return self.uniforms[self.used - 1]
+
+        def unused(_state):
+            return 0
+
+        # the struct keeps the callbacks alive, and this object the struct and name
+        self._bitgen = _BitgenT(
+            None, _uint64_fn(unused), _uint32_fn(unused), _double_fn(next_double), _uint64_fn(unused)
+        )
+        self._name = b"BitGenerator"
+        self.capsule = _capsule_new(ctypes.addressof(self._bitgen), self._name, None)
+        self.lock = threading.Lock()
+
+
+def _cdf_step_probes(ratio, ulps):
+    """Rows n and uniforms ``ulps`` ulps either side of every CDF step of the table's rows.
+
+    A probe within ``ulps`` ulps of a second step of its row is dropped, and
+    so is one past the row's last step (a redraw, whose order differs from
+    numpy's by design) or outside (0, 1).
+    """
+    table = stochastic._inversion_table(ratio)
+    cdf = table.cdf.reshape(-1, 1 << table.shift)
+    rows, probes = [], []
+    for n in range(1, table.last + 1):
+        steps = cdf[n][cdf[n] < 2.0].view(np.int64)  # positive doubles order as their bits
+        bits = np.concatenate([steps - ulps, steps + ulps])
+        near = np.searchsorted(steps, bits + ulps, "right") - np.searchsorted(steps, bits - ulps)
+        u = bits[(near == 1) & (bits <= steps[-1])].view(np.float64)
+        u = u[(u > 0.0) & (u < 1.0)]
+        rows.append(np.full(u.size, n))
+        probes.append(u)
+    return np.concatenate(rows), np.concatenate(probes)
+
+
 class TestBinomialSampler:
+    @pytest.mark.parametrize(
+        "ratio", [0.05, 0.1, 0.2, 0.25, 0.3, 1 / 3, 0.4, 0.5, 0.6, 2 / 3, 0.75, 0.9]
+    )
+    def test_agrees_with_numpy_away_from_its_cdf_steps(self, ratio):
+        # numpy subtracts each pmf term from U where the table compares U with
+        # their cumulative sum, and its first term may differ from math.exp's
+        # by a few ulps, so its inversion thresholds sit up to a few hundred
+        # ulps from the table's CDF steps; 512 ulps away the draws agree
+        n, u = _cdf_step_probes(ratio, 512)
+        assert u.size > 1000
+        numpy_bits = _ScriptedBitGenerator(u)
+        want = np.random.Generator(numpy_bits).binomial(n, ratio)
+        assert numpy_bits.used == u.size  # no probe made numpy redraw
+        got = stochastic._binomial(
+            _ScriptedUniforms(u), n, ratio, np.empty_like(n), stochastic._Workspace()
+        )
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("ratio", [0.1, 1 / 3, 0.5, 0.7, 0.9])
     def test_matches_numpy_draw_for_draw_in_its_inversion_regime(self, ratio):
         limit = _inversion_limit(ratio)
