@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+from .errors import _check_arity
 from .stochastic import ProbVector
 
 _EDGE_TOL = 1e-9  # threshold comparisons; keeps M = N uniform inside the window
@@ -65,11 +66,6 @@ class BoundsReport:
 def _check_ratio(N: int, r: float) -> None:
     if not 0.0 < r <= 1.0 / N + 1e-12:
         raise ValueError(f"ratio {r} outside (0, 1/{N}]")
-
-
-def _check_arity(M: int) -> None:
-    if M < 2:
-        raise ValueError(f"arity must be at least 2, got {M}")
 
 
 def entropy(p: ProbVector) -> float:

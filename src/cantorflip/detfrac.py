@@ -121,12 +121,21 @@ def _determinize(start: frozenset[int], successors, symbol, n: int):
 
 
 def _level_words(start: frozenset[int], successors, symbol, n: int) -> set[Word01]:
-    """Level-n words of ``_determinize``'s automaton, counted before one is built."""
+    """Level-n words of ``_determinize``'s automaton, counted before one is built.
+
+    The frontier holds each level's words grouped by the state they reach, so
+    a level extends one list per state, and the words meet in one set at the
+    end; the automaton is deterministic, so no word reaches two states.
+    """
     rows, _ = _determinize(start, successors, symbol, n)
-    frontier = {(): start}
+    frontier: dict[frozenset[int], list[Word01]] = {start: [()]}
     for _ in range(n):
-        frontier = {word + (s,): t for word, state in frontier.items() for s, t in rows[state]}
-    return set(frontier)
+        grown: dict[frozenset[int], list[Word01]] = {}
+        for state, words in frontier.items():
+            for s, t in rows[state]:
+                grown.setdefault(t, []).extend([w + (s,) for w in words])
+        frontier = grown
+    return {w for words in frontier.values() for w in words}
 
 
 def tree_words(spec: DeterministicSpec | int, n: int) -> set[Word01]:

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, the budget message and the arity check."""
 
 import math
 
@@ -10,6 +10,12 @@ class BudgetError(RuntimeError):
     64-bit counters; callers should lower the depth or switch to a sampling
     mode. The command line tool maps this to exit code 3.
     """
+
+
+def _check_arity(M: int) -> None:
+    """The package's one arity check: a tree needs at least two children a node."""
+    if M < 2:
+        raise ValueError(f"arity must be at least 2, got {M}")
 
 
 def _budget_error(request: str, cap: int, name: str) -> BudgetError:

@@ -6,7 +6,8 @@ the label word w obeys a closed recursion over prefixes,
     a_{l,w} = 1 - (1 - p_l * a_w)^M,    a_empty = 1,
 
 which this module evaluates directly (``a_probability``), sums over whole
-levels (``expected_zn``), and specializes to the uniform case
+levels (``expected_zn``, which evolves a level in one buffer and rounds its
+sum once, through ``_exact_sum``), and specializes to the uniform case
 (``pi_sequence``, ``gamma_fixed_point``). ``brute_force_a`` and
 ``enumerate_z_distribution`` recompute the same quantities by exhausting
 every labeling of the truncated tree; they exist so the recursions are
@@ -18,7 +19,6 @@ Z for the second.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -27,8 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import _bisect, _check_arity
-from .errors import _budget_error, _checked_power
+from .bounds import _bisect
+from .errors import _budget_error, _check_arity, _checked_power
 from .ifs import label_symbols
 from .stochastic import ProbVector
 
@@ -38,6 +38,8 @@ _COMPOSITION_CAP = 500_000
 _PI_CAP = 1_000_000  # pi_sequence steps, each one float kept
 _MASK_BITS = 63  # word bitmasks live in one int64
 _CHUNK = 1 << 18
+_PIECE = 1 << 15  # values _exact_sum buckets at a time
+_HI_MASK = np.int64(~((1 << 26) - 1))  # clears the low 26 mantissa bits
 
 
 def a_probability(w, p: ProbVector, M: int) -> float:
@@ -240,33 +242,64 @@ def gamma_fixed_point(N: int, M: int) -> float:
     return x
 
 
+def _exact_sum(values: np.ndarray) -> float:
+    """The correctly rounded sum of nonnegative finite doubles; equals ``math.fsum``.
+
+    Values are bucketed, in pieces of ``_PIECE``, by their biased exponent
+    ``bits >> 52`` (bits being the float's int64 view), and each is split
+    into ``hi``, its bits with the low 26 mantissa bits cleared, and
+    ``lo = v - hi``, which is exact. ``np.bincount`` sums the hi parts and
+    the lo parts of each bucket, and ``math.fsum`` rounds the 4096 bucket
+    sums once. Every bucket sum is exact: with u the bucket's ulp, its hi
+    parts are multiples of 2^26 u below 2^27 (2^26 u) and its lo parts
+    multiples of u below 2^26 u, so for up to 2^26 values every partial sum
+    of either is a multiple of its grid below 2^53 grid steps and fits a
+    double. ``_WORD_CAP`` = 2^20 keeps every level within that.
+    """
+    sums = np.zeros(4096, dtype=np.float64)
+    for start in range(0, values.size, _PIECE):
+        piece = values[start : start + _PIECE]
+        bits = piece.view(np.int64)
+        exponent = bits >> 52
+        hi = (bits & _HI_MASK).view(np.float64)
+        sums[:2048] += np.bincount(exponent, weights=hi, minlength=2048)
+        sums[2048:] += np.bincount(exponent, weights=piece - hi, minlength=2048)
+    return math.fsum(sums.tolist())
+
+
 def expected_zn(p: ProbVector, M: int, n: int) -> float:
     """Exact E[Z_n]: the sum of a_probability over all N^n label words.
 
     Computed by evolving the full vector of a-values one prefix letter at a
-    time, so the cost is the output size N^n, not N^n recursion calls. Each
-    level's ufuncs run in place on its one array, and ``math.fsum`` reads it
-    in ``_CHUNK``-sized pieces; the exact sum does not depend on how it is
-    split.
+    time, so the cost is the output size N^n, not N^n recursion calls. All
+    levels live in one buffer of N^n doubles: level k+1's block i is p_i
+    times level k, written from i = N-1 down so that block 0, which
+    overwrites the level it reads, goes last, and the level's ufuncs then
+    run in place on its prefix. ``_exact_sum`` adds the last level exactly,
+    so the result is the correctly rounded sum.
     """
     _check_arity(M)
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
     N = p.N
-    _checked_power("N^n = {} words to sum", N, n, _WORD_CAP, "_WORD_CAP")
+    words = _checked_power("N^n = {} words to sum", N, n, _WORD_CAP, "_WORD_CAP")
     if n == 0:
         return 1.0
     parr = p.as_array()
-    values = np.ones(1, dtype=np.float64)
+    values = np.empty(words, dtype=np.float64)
+    values[0] = 1.0
+    size = 1
     for _ in range(n):  # values = -expm1(M * log1p(-outer(p, values)))
-        values = np.outer(parr, values).reshape(-1)
-        np.negative(values, out=values)
-        np.log1p(values, out=values)
-        np.multiply(values, M, out=values)
-        np.expm1(values, out=values)
-        np.negative(values, out=values)
-    pieces = (values[i : i + _CHUNK].tolist() for i in range(0, values.size, _CHUNK))
-    return math.fsum(itertools.chain.from_iterable(pieces))
+        for i in range(N - 1, -1, -1):
+            np.multiply(parr[i], values[:size], out=values[i * size : (i + 1) * size])
+        size *= N
+        level = values[:size]
+        np.negative(level, out=level)
+        np.log1p(level, out=level)
+        np.multiply(level, M, out=level)
+        np.expm1(level, out=level)
+        np.negative(level, out=level)
+    return _exact_sum(values)
 
 
 def _compositions(n: int, parts: int):

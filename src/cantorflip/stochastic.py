@@ -59,7 +59,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import _budget_error, _checked_power
+from .errors import _budget_error, _check_arity, _checked_power
 from .ifs import IfsSpec, interval
 
 _DENSE_STATE_CAP = 1 << 24  # the pooled-union bitmap: at most 2^24 words
@@ -127,8 +127,7 @@ class OccupancyMap:
 
     def __post_init__(self) -> None:
         words, counts = self.words, self.counts
-        if self.M < 2:
-            raise ValueError(f"arity must be at least 2, got {self.M}")
+        _check_arity(self.M)
         if words.ndim != 2 or counts.shape != words.shape[:1]:
             raise ValueError(f"need Z x level words, Z counts; got {words.shape}, {counts.shape}")
         if counts.size and counts.min() <= 0:
@@ -557,8 +556,7 @@ def _trial_blocks(
 
 def _check_budgets(N: int, M: int, depth: int, trials: int, master_seed: int) -> None:
     """Argument checks and bounds shared by ``run_trials`` and ``z_distribution``."""
-    if M < 2:
-        raise ValueError(f"arity must be at least 2, got {M}")
+    _check_arity(M)
     if master_seed < 0:
         raise ValueError(f"master seed must be nonnegative, got {master_seed}")
     if depth < 1:

@@ -7,10 +7,12 @@ mode) and are asserted here as plain constants.
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorflip import (
     PiSequence,
@@ -242,6 +244,62 @@ class TestExpectedZn:
     def test_bounded_by_branch_count(self):
         for n in range(10):
             assert expected_zn(THIRDS, 3, n) <= 3**n + 1e-9
+
+    # float.hex of each sum, taken when the levels were evolved by np.outer and summed by math.fsum
+    HEX_PINS = {
+        "p2-M2-n20": ((0.3, 0.7), 2, 20, "0x1.4ce016be9970fp+16"),
+        "p3-M3-n12": ((0.2, 0.3, 0.5), 3, 12, "0x1.1481b7854f609p+16"),
+        "p3-M2-n12": ((0.1, 0.2, 0.7), 2, 12, "0x1.3a58e5afb6b4bp+10"),
+        "skewed-M2-n20": ((0.01, 0.99), 2, 20, "0x1.932300c3a5275p+7"),
+        "uniform4-M2-n10": ((0.25,) * 4, 2, 10, "0x1.9269f06d3a896p+9"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(HEX_PINS))
+    def test_bit_exact_pins(self, name):
+        values, M, n, pin = self.HEX_PINS[name]
+        assert expected_zn(ProbVector(values), M, n).hex() == pin
+
+    @pytest.mark.parametrize(
+        "values, M, n", [((0.3, 0.7), 2, 12), ((0.2, 0.3, 0.5), 3, 7), ((0.25,) * 4, 5, 6)]
+    )
+    def test_every_level_is_the_rounded_exact_sum_of_the_outer_product_levels(self, values, M, n):
+        # an independent evolution, one np.outer a level, summed exactly in Fractions
+        p = ProbVector(values)
+        level = np.ones(1)
+        for k in range(n + 1):
+            assert expected_zn(p, M, k) == float(sum(map(Fraction, level.tolist()))), k
+            level = -np.expm1(M * np.log1p(-np.outer(p.as_array(), level).reshape(-1)))
+
+    def test_memory_is_one_level_buffer(self):
+        # one buffer of N^n doubles plus the exact sum's pieces; evolving by np.outer peaked at 2x
+        expected_zn(SKEW, 2, 4)  # warm up
+        tracemalloc.start()
+        try:
+            expected_zn(SKEW, 2, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * 2**20
+
+
+NONNEGATIVE_DOUBLES = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from(
+    [0.0, 5e-324, 2.0**-1022, 2.0**-1022 - 5e-324, 1.0 - 2.0**-53, 1.0]
+)
+
+
+class TestExactSum:
+    @given(st.lists(NONNEGATIVE_DOUBLES, max_size=300), st.integers(min_value=1, max_value=300))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_fsum(self, values, repeats):
+        # repeating the draw crosses piece boundaries and piles values into few buckets
+        a = np.tile(np.array(values, dtype=np.float64), repeats)
+        assert exact._exact_sum(a) == math.fsum(a.tolist())
+
+    def test_a_full_level_of_values(self):
+        rng = np.random.default_rng(25)
+        a = rng.random(1 << 20) ** rng.integers(1, 40, 1 << 20)
+        a[::4] = 1.0 - rng.random(1 << 18) * 2.0**-40  # values just below 1, all in one bucket
+        assert exact._exact_sum(a) == math.fsum(a.tolist())
 
 
 class TestMultinomialBound:
