@@ -33,6 +33,7 @@ from .detfrac import (
     graph_words,
     level_of,
     rho,
+    rows_within,
     sft_count,
     sft_words,
     tree_words,

@@ -48,6 +48,7 @@ from .detfrac import (
     graph_words,
     level_of,
     rho,
+    rows_within,
     sft_words,
     tree_words,
 )
@@ -254,6 +255,11 @@ def cmd_deterministic(params: dict) -> int:
     m, r, n = params["m"], params["r"], params.get("n")
     spec = DeterministicSpec(m, params.get("offset"))
     if params["format"] == "csv":
+        if spec.offset != m - 1:
+            raise ValueError(
+                f"--format csv reports the default --offset m - 1 = {m - 1} only, "
+                f"got --offset {spec.offset} for --m {m}"
+            )
         _write_csv("m,L,rho_L,dim_Fm", dimension_rows([m], r), params.get("out"))
         return 0
     report: dict = {
@@ -271,11 +277,11 @@ def cmd_deterministic(params: dict) -> int:
         report["n"] = n
         report["word_count"] = len(words)
         if len(words) <= 64:
-            report["words"] = sorted("".join(str(s) for s in w) for w in words)
+            report["words"] = dump_words(words).splitlines()
         if m >= 3 and spec.offset == m - 1:
-            # the graph set is dropped before the SFT set is built, so one is held at a time
-            checks = {"tree_equals_graph": words == graph_words(m, n)}
-            checks["tree_within_sft"] = words <= sft_words(level_of(m), n)
+            # the graph array is dropped before the SFT array is built, so one is held at a time
+            checks = {"tree_equals_graph": np.array_equal(words, graph_words(m, n))}
+            checks["tree_within_sft"] = rows_within(words, sft_words(level_of(m), n))
             report["checks"] = checks
         if params.get("dump"):
             Path(params["dump"]).write_text(dump_words(words))

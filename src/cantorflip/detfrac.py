@@ -11,6 +11,12 @@ counts the words before it builds them, at a cost per word; their agreement
 checks that the two automata match under the relabelling c <-> c+1. The
 determinizer's own oracles share none of its code: the literal tree (in the
 tests) and the subshift forbidding 1 0^k 1 for k < L (sft_words, sft_count).
+
+A word set is one uint8 array of 0/1 letters, shape (W, n), one word a row,
+its rows distinct and in ascending lexicographic order; level 0 is one empty
+row. A word costs n bytes, not a Python tuple. Each builder appends a
+level's children in (word, letter) order, so the rows ascend without a
+sort; rows_within checks one set's rows against another's by packed keys.
 """
 
 from __future__ import annotations
@@ -18,10 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import _bisect
 from .errors import _budget_error
-
-Word01 = tuple[int, ...]
 
 _STATE_CAP = 1 << 22  # per level: words, and residues held by the level's states
 _WORDS_CAP = 1 << 20  # words an enumeration may return
@@ -120,25 +126,33 @@ def _determinize(start: frozenset[int], successors, symbol, n: int):
     return rows, counts
 
 
-def _level_words(start: frozenset[int], successors, symbol, n: int) -> set[Word01]:
+def _level_words(start: frozenset[int], successors, symbol, n: int) -> np.ndarray:
     """Level-n words of ``_determinize``'s automaton, counted before one is built.
 
-    The frontier holds each level's words grouped by the state they reach, so
-    a level extends one list per state, and the words meet in one set at the
-    end; the automaton is deterministic, so no word reaches two states.
+    The automaton's rows become a table of next-state numbers, -1 where a
+    letter leads nowhere, and the frontier is one state number per word.
+    Each level appends every word's children in (word, letter) order, so the
+    rows stay in ascending order with no sort; the automaton is
+    deterministic, so they stay distinct.
     """
     rows, _ = _determinize(start, successors, symbol, n)
-    frontier: dict[frozenset[int], list[Word01]] = {start: [()]}
+    # start is the first state in rows; the states first reached at level n
+    # are never expanded, and share the last number
+    number = {state: i for i, state in enumerate(rows)}
+    table = np.full((len(rows) + 1, 2), -1, dtype=np.intp)
+    for state, row in rows.items():
+        for s, t in row:
+            table[number[state], s] = number.get(t, len(rows))
+    words, at = np.zeros((1, 0), dtype=np.uint8), np.zeros(1, dtype=np.intp)
     for _ in range(n):
-        grown: dict[frozenset[int], list[Word01]] = {}
-        for state, words in frontier.items():
-            for s, t in rows[state]:
-                grown.setdefault(t, []).extend([w + (s,) for w in words])
-        frontier = grown
-    return {w for words in frontier.values() for w in words}
+        child = table[at]
+        word, letter = np.nonzero(child >= 0)
+        words = np.column_stack((words[word], letter.astype(np.uint8)))
+        at = child[word, letter]
+    return words
 
 
-def tree_words(spec: DeterministicSpec | int, n: int) -> set[Word01]:
+def tree_words(spec: DeterministicSpec | int, n: int) -> np.ndarray:
     """Distinct level-n label words of the marked binary tree, over {0,1}.
 
     The automaton runs on edge indices mod m: a pseudo-root with residue m-1
@@ -154,7 +168,7 @@ def tree_words(spec: DeterministicSpec | int, n: int) -> set[Word01]:
     )
 
 
-def graph_words(m: int, n: int) -> set[Word01]:
+def graph_words(m: int, n: int) -> np.ndarray:
     """Words emitted by length-n walks on the mod-m digraph from vertices 1 and 2.
 
     The digraph has edges v -> (2v+1) mod m and v -> (2v+2) mod m, defined
@@ -190,25 +204,54 @@ def sft_count(L: int, n: int) -> int:
     return sum(counts.values())
 
 
-def sft_words(L: int, n: int) -> set[Word01]:
+def sft_words(L: int, n: int) -> np.ndarray:
     """Length-n binary words starting with 0^min(L,n) and avoiding 1 0^k 1, k < L.
 
-    Built one letter at a time, the words grouped by their gap since the
-    last 1 under sft_count's rule, so the word length sets no recursion depth.
+    Built one letter at a time from each word's gap since its last 1, under
+    sft_count's rule: a word's 0-child comes first, then its 1-child where
+    the gap allows one, so the rows ascend as they are made and the word
+    length sets no recursion depth.
     """
     total = sft_count(L, n)
     if total > _WORDS_CAP:
         raise _budget_error(f"{total} words of length {n}", _WORDS_CAP, "_WORDS_CAP")
-    head = min(L, n)
-    frontier: dict[int, list[Word01]] = {L: [()]}  # gap, clamped at L -> words
-    for pos in range(n):
-        grown: dict[int, list[Word01]] = {}
-        for gap, words in frontier.items():
-            grown.setdefault(min(gap + 1, L), []).extend([w + (0,) for w in words])
-            if pos >= head and gap >= L:
-                grown.setdefault(0, []).extend([w + (1,) for w in words])
-        frontier = grown
-    return {w for words in frontier.values() for w in words}
+    # the head of min(L, n) zeros is forced, and leaves the gap at L
+    words = np.zeros((1, min(L, n)), dtype=np.uint8)
+    gaps = np.full(1, L)  # gap since the last 1, clamped at L; L doubles as "no 1 yet"
+    for _ in range(words.shape[1], n):
+        ones = gaps >= L
+        width = 1 + ones
+        parent = np.repeat(np.arange(len(gaps)), width)
+        letter = np.zeros(len(parent), dtype=np.uint8)
+        letter[np.cumsum(width)[ones] - 1] = 1
+        words = np.concatenate((words[parent], letter[:, None]), axis=1)
+        gaps = np.where(letter == 1, 0, np.minimum(gaps[parent] + 1, L))
+    return words
+
+
+def rows_within(words: np.ndarray, superset: np.ndarray) -> bool:
+    """Whether every row of ``words`` is a row of ``superset``, a word array.
+
+    The superset's rows must ascend, as the word arrays' rows do. Each row
+    becomes one key that orders as the row does, and a sorted search of the
+    superset's keys finds each word.
+    """
+    if words.shape[1] != superset.shape[1] or not len(superset):
+        return not len(words)
+    keys, known = _row_keys(words), _row_keys(superset)
+    at = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+    return bool(np.all(known[at] == keys))
+
+
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """Rows packed most significant bit first: one uint64 each up to 64 letters, else bytes."""
+    bits = np.packbits(words, axis=1)
+    width = 8 * max(1, -(-bits.shape[1] // 8))  # whole uint64s, at least one
+    packed = np.zeros((len(words), width), dtype=np.uint8)
+    packed[:, : bits.shape[1]] = bits
+    if width == 8:
+        return packed.view(">u8").ravel().astype(np.uint64)
+    return packed.view(f"V{width}").ravel()
 
 
 def dimension_rows(ms, r: float) -> list[tuple[int, int | None, float | None, float]]:
@@ -223,7 +266,10 @@ def dimension_rows(ms, r: float) -> list[tuple[int, int | None, float | None, fl
     return rows
 
 
-def dump_words(words) -> str:
-    """Sorted one-word-per-line text form, for golden files and diffs."""
-    lines = ["".join(str(s) for s in w) for w in words]
-    return "\n".join(sorted(lines)) + "\n" if lines else ""
+def dump_words(words: np.ndarray) -> str:
+    """One word a line, as 0/1 digits in row order, for golden files and diffs.
+
+    The word arrays hold their rows in ascending order, so the lines are sorted.
+    """
+    digits = np.column_stack((words + ord("0"), np.full(len(words), ord("\n"), dtype=np.uint8)))
+    return digits.tobytes().decode("ascii")

@@ -178,9 +178,10 @@ def test_criterion8_deterministic_suite():
         L = cf.level_of(m)
         for n in range(1, 13):
             tw = cf.tree_words(m, n)
-            assert tw == cf.graph_words(m, n), (m, n)
-            assert tw <= cf.sft_words(L, n), (m, n)
-    assert cf.tree_words(3, 3) == {(0, 0, 0), (0, 0, 1), (0, 1, 0)}
+            assert np.array_equal(tw, cf.graph_words(m, n)), (m, n)
+            shift = set(map(tuple, cf.sft_words(L, n).tolist()))
+            assert set(map(tuple, tw.tolist())) <= shift, (m, n)
+    assert cf.tree_words(3, 3).tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 0]]
     assert abs(cf.rho(1) - (1 + math.sqrt(5)) / 2) < 1e-10
     for L in range(1, 5):
         lo, hi = 2 ** (L + 1) - 1, 2 ** (L + 2) - 2

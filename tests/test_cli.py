@@ -285,6 +285,25 @@ class TestDeterministic:
         assert code == 0
         assert out.strip().splitlines()[0] == "m,L,rho_L,dim_Fm"
 
+    @pytest.mark.parametrize("offset", ["0", "2", "3"])
+    def test_csv_refuses_another_offset(self, capsys, offset):
+        # the row's rho_L and dim_Fm are the default offset's; at m = 5, offset 2
+        # the words grow like 1.7549^n, not 1.618^n
+        code, out, err = run_cli(
+            capsys, "deterministic", "--m", "5", "--offset", offset, "--format", "csv"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--format csv" in err and f"--offset {offset}" in err and "--m 5" in err
+
+    def test_csv_accepts_the_default_offset_by_name(self, capsys):
+        _, default, _ = run_cli(capsys, "deterministic", "--m", "5", "--format", "csv")
+        code, out, _ = run_cli(
+            capsys, "deterministic", "--m", "5", "--offset", "4", "--format", "csv"
+        )
+        assert code == 0
+        assert out == default == "m,L,rho_L,dim_Fm\n5,1,1.61803399,0.438017879\n"
+
     def test_dump_file(self, capsys, tmp_path):
         path = tmp_path / "words.txt"
         code, _, _ = run_cli(
@@ -292,6 +311,17 @@ class TestDeterministic:
         )
         assert code == 0
         assert path.read_text() == "000\n001\n010\n"
+
+    def test_dump_digest(self, capsys, tmp_path):
+        # 1597 words of 16 letters, one a line in ascending order
+        path = tmp_path / "words.txt"
+        code, _, _ = run_cli(
+            capsys, "deterministic", "--m", "3", "--n", "16", "--dump", str(path)
+        )
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "5045c8ef4a2dd4e5ec8326ed1d322e73ca6c64b7e00f51e7746a31f66864e0de"
+        )
 
     @pytest.mark.parametrize("n", ["40", "1000000"])
     def test_word_budget_exits_3_at_the_first_level_over_cap(self, capsys, n):
@@ -729,6 +759,13 @@ DOCUMENT_DIGESTS = {
         "fecb301f2b4ed7ccc4df067bcc7ac0f2a0f67ce75a7d19d46e0ceaae14ecf575",
     "deterministic --m 6 --format csv":
         "f24af7933c2480b697ed902e2425f41276b12c8712a69ade9a536b37e6d26a99",
+    # word reports: the listed words, the word-heavy m = 3 and the residue-heavy m = 4000
+    "deterministic --m 6 --n 8":
+        "c68fb267f75b0adf54dcfa2ba4e415b22971e9a74d59454e33178dc7fdef0e1a",
+    "deterministic --m 3 --n 22":
+        "0f99b43d0d940abc4c638a09e6d5714287ad508f116e02de80ef756694a2e099",
+    "deterministic --m 4000 --n 36":
+        "0f51dacea9ad5f54144b870eed77df28dae140eed13448f2befd7192f3268784",
 }
 
 

@@ -2,7 +2,8 @@
 
 The same level-n word set is produced three ways: by labeling actual tree
 edges (tree_words), by walking the mod-m successor digraph (graph_words),
-and by the gap-constraint shift (sft_words, a superset in general). The
+and by the gap-constraint shift (sft_words, a superset in general). Each
+view is a uint8 array of 0/1 letters, one word a row, rows ascending. The
 tests pin small cases exactly and cross-check the views against each other.
 """
 
@@ -11,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorflip import (
     DeterministicSpec,
@@ -20,6 +22,7 @@ from cantorflip import (
     graph_words,
     level_of,
     rho,
+    rows_within,
     sft_count,
     sft_words,
     tree_words,
@@ -29,6 +32,11 @@ from cantorflip.detfrac import _determinize
 from cantorflip.errors import BudgetError
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+
+
+def word_set(words: np.ndarray) -> set[tuple[int, ...]]:
+    """The rows of a word array as a set of tuples, for inclusion checks."""
+    return set(map(tuple, words.tolist()))
 
 
 class TestLevelOf:
@@ -104,23 +112,28 @@ class TestDimFm:
 
 class TestWordSets:
     def test_small_tree_words(self):
-        assert tree_words(3, 1) == {(0,)}
-        assert tree_words(3, 3) == {(0, 0, 0), (0, 0, 1), (0, 1, 0)}
-        assert tree_words(6, 2) == {(0, 0), (0, 1)}
+        assert tree_words(3, 1).tolist() == [[0]]
+        assert tree_words(3, 3).tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 0]]
+        assert tree_words(6, 2).tolist() == [[0, 0], [0, 1]]
+
+    def test_level_zero_is_one_empty_word(self):
+        for words in (tree_words(3, 0), graph_words(3, 0), sft_words(1, 0)):
+            assert words.dtype == np.uint8
+            assert words.shape == (1, 0)
 
     def test_accepts_spec_or_int(self):
-        assert tree_words(DeterministicSpec(6), 2) == tree_words(6, 2)
+        assert np.array_equal(tree_words(DeterministicSpec(6), 2), tree_words(6, 2))
 
     def test_tree_equals_graph_spot(self):
         for m in (3, 5, 6, 9, 13):
             for n in (1, 4, 7):
-                assert tree_words(m, n) == graph_words(m, n)
+                assert np.array_equal(tree_words(m, n), graph_words(m, n))
 
     def test_tree_within_sft_spot(self):
         for m in (3, 7, 14):
             L = level_of(m)
             for n in (4, 8):
-                assert tree_words(m, n) <= sft_words(L, n)
+                assert word_set(tree_words(m, n)) <= word_set(sft_words(L, n))
 
     @pytest.mark.parametrize("m", [1000, 2047, 2048, 4000, 9999])
     def test_identities_for_m_in_the_thousands(self, m):
@@ -129,14 +142,21 @@ class TestWordSets:
         L = level_of(m)
         for n in range(24, 31):
             words = tree_words(m, n)
-            assert words, (m, n)
-            assert words == graph_words(m, n), (m, n)
-            assert words <= sft_words(L, n), (m, n)
+            assert len(words), (m, n)
+            assert np.array_equal(words, graph_words(m, n)), (m, n)
+            assert word_set(words) <= word_set(sft_words(L, n)), (m, n)
 
     def test_sft_small_cases(self):
-        assert sft_words(1, 3) == {(0, 0, 0), (0, 0, 1), (0, 1, 0)}
+        assert sft_words(1, 3).tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 0]]
         # head of min(L, n) zeros is forced
-        assert sft_words(2, 4) == {(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)}
+        assert sft_words(2, 4).tolist() == [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+
+    def test_sft_rows_ascend(self):
+        for L in (1, 2, 3, 5):
+            for n in (1, 2, 6, 11):
+                words = sft_words(L, n)
+                assert words.dtype == np.uint8 and words.shape == (sft_count(L, n), n)
+                assert words.tolist() == [list(w) for w in sorted(word_set(words))], (L, n)
 
     def test_sft_gap_constraint(self):
         for w in sft_words(2, 8):
@@ -166,10 +186,40 @@ class TestWordSets:
         with pytest.raises(BudgetError):
             sft_words(1, 40)
 
-    def test_offset_changes_words_not_count_scaling(self):
+    def test_offset_changes_the_words(self):
         base = tree_words(DeterministicSpec(5), 4)
         shifted = tree_words(DeterministicSpec(5, offset=1), 4)
-        assert base != shifted  # same construction, different phase
+        assert not np.array_equal(base, shifted)  # same construction, different phase
+
+
+class TestRowsWithin:
+    """The array inclusion check against inclusion of the rows' tuple sets."""
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 63, 64, 65, 130])
+    def test_agrees_with_set_inclusion(self, n):
+        rng = np.random.default_rng(n)
+        superset = np.unique(rng.integers(0, 2, (40, n), dtype=np.uint8), axis=0)
+        inside = superset[rng.permutation(len(superset))[: len(superset) // 2]]
+        outside = np.unique(rng.integers(0, 2, (40, n), dtype=np.uint8), axis=0)
+        for words in (inside, outside, superset, superset[:0]):
+            want = word_set(words) <= word_set(superset)
+            assert rows_within(words, superset) == want, n
+        assert rows_within(superset[:0], superset[:0])
+        assert rows_within(superset, superset[:0]) == (not len(superset))
+
+    def test_widths_must_match(self):
+        assert not rows_within(tree_words(3, 4), sft_words(1, 5))
+
+    def test_other_offsets_leave_the_shift(self):
+        # at m = 5, offset 2 the words grow like 1.7549^n, past the shift's 1.618^n
+        words = tree_words(DeterministicSpec(5, offset=2), 12)
+        assert not rows_within(words, sft_words(1, 12))
+        assert not word_set(words) <= word_set(sft_words(1, 12))
+
+
+def brute_force_rows(codes: np.ndarray, n: int) -> np.ndarray:
+    """The n-letter words whose codes, first letter most significant, are ``codes``."""
+    return (codes[:, None] >> np.arange(n - 1, -1, -1) & 1).astype(np.uint8)
 
 
 def brute_force_counts(m: int, n: int, offset: int | None = None) -> tuple[list[int], np.ndarray]:
@@ -217,8 +267,7 @@ class TestBruteForceTree:
     def test_m30_is_in_the_m15_block(self):
         counts, codes = brute_force_counts(30, 16)
         assert counts == [sft_count(3, n) for n in range(1, 17)]
-        words = {tuple(int(b) for b in format(int(c), "016b")) for c in codes}
-        assert words == tree_words(30, 16)
+        assert np.array_equal(brute_force_rows(codes, 16), tree_words(30, 16))
         assert dim_Fm(30, 1 / 3) == dim_Fm(15, 1 / 3)
 
     def test_every_offset(self):
@@ -226,8 +275,22 @@ class TestBruteForceTree:
         for m in range(2, 16):
             for offset in range(m):
                 _, codes = brute_force_counts(m, 14, offset)
-                words = {tuple(int(b) for b in format(int(c), "014b")) for c in codes}
-                assert words == tree_words(DeterministicSpec(m, offset), 14), (m, offset)
+                words = tree_words(DeterministicSpec(m, offset), 14)
+                assert np.array_equal(brute_force_rows(codes, 14), words), (m, offset)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=12))
+    def test_words_are_the_literal_trees_rows_in_order(self, data, m, n):
+        offset = data.draw(st.integers(min_value=0, max_value=m - 1), label="offset")
+        words = tree_words(DeterministicSpec(m, offset), n)
+        assert words.dtype == np.uint8
+        assert words.ndim == 2 and words.shape[1] == n
+        if n == 0:
+            assert words.shape == (1, 0)
+        codes = words.astype(np.int64) @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+        assert np.all(codes[1:] > codes[:-1])  # rows strictly ascend
+        _, literal = brute_force_counts(m, n, offset)
+        assert np.array_equal(words, brute_force_rows(literal, n))
 
 
 class TestSubsetAutomaton:
@@ -307,7 +370,7 @@ def test_residue_cap_bounds_one_level(monkeypatch, words):
     # the states reached by level 16 hold 2418 residues, no level more than 1000
     monkeypatch.setattr(detfrac, "_STATE_CAP", 1000)
     _, codes = brute_force_counts(700, 16)
-    assert words(700, 16) == {tuple(int(b) for b in format(int(c), "016b")) for c in codes}
+    assert np.array_equal(words(700, 16), brute_force_rows(codes, 16))
 
 class TestGrowth:
     def test_tree_word_growth_tracks_rho(self):
