@@ -243,10 +243,11 @@ def cmd_exact(params: dict) -> int:
         _write_table(("n", "pi"), enumerate(seq.values), params)
     else:
         p, M = _prob_vector(params, params.get("N")), params["M"]
+        # deepest level first, so a level over a cap exits 3 before any other is summed
         rows = [
             (n, expected_zn(p, M, n), multinomial_bound(p, M, n))
-            for n in range(params.get("n_max", 10) + 1)
-        ]
+            for n in range(params.get("n_max", 10), -1, -1)
+        ][::-1]
         _write_table(("n", "value", "bound"), rows, params)
     return 0
 
@@ -260,6 +261,12 @@ def cmd_deterministic(params: dict) -> int:
                 f"--format csv reports the default --offset m - 1 = {m - 1} only, "
                 f"got --offset {spec.offset} for --m {m}"
             )
+        for key in ("n", "dump"):
+            if key in params:
+                raise ValueError(
+                    f"--format csv reports the dimension row only and builds no words, "
+                    f"got --{key} {params[key]}"
+                )
         _write_csv("m,L,rho_L,dim_Fm", dimension_rows([m], r), params.get("out"))
         return 0
     report: dict = {

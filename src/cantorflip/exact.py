@@ -6,7 +6,8 @@ the label word w obeys a closed recursion over prefixes,
     a_{l,w} = 1 - (1 - p_l * a_w)^M,    a_empty = 1,
 
 which this module evaluates directly (``a_probability``), sums over whole
-levels (``expected_zn``, which evolves a level in one buffer and rounds its
+levels (``expected_zn``, which walks a level in blocks of ``_BLOCK`` doubles,
+in memory O(_BLOCK * n) for up to ``_WORD_CAP`` = 2^26 words, and rounds its
 sum once, through ``_exact_sum``), and specializes to the uniform case
 (``pi_sequence``, ``gamma_fixed_point``). ``brute_force_a`` and
 ``enumerate_z_distribution`` recompute the same quantities by exhausting
@@ -23,7 +24,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,12 +34,12 @@ from .ifs import label_symbols
 from .stochastic import ProbVector
 
 _ENUM_CAP = 1 << 24  # labelings a brute-force enumeration may visit
-_WORD_CAP = 1 << 20  # words a full-level sum may hold
+_WORD_CAP = 1 << 26  # words a full-level sum may hold; _exact_sum is exact up to this many
 _COMPOSITION_CAP = 500_000
 _PI_CAP = 1_000_000  # pi_sequence steps, each one float kept
 _MASK_BITS = 63  # word bitmasks live in one int64
 _CHUNK = 1 << 18
-_PIECE = 1 << 15  # values _exact_sum buckets at a time
+_BLOCK = 1 << 14  # doubles a block of expected_zn's walk may hold
 _HI_MASK = np.int64(~((1 << 26) - 1))  # clears the low 26 mantissa bits
 
 
@@ -242,64 +243,92 @@ def gamma_fixed_point(N: int, M: int) -> float:
     return x
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """The correctly rounded sum of nonnegative finite doubles; equals ``math.fsum``.
+def _exact_sum(blocks: Iterable[np.ndarray]) -> float:
+    """The correctly rounded sum of the nonnegative finite doubles in ``blocks``; equals ``math.fsum``.
 
-    Values are bucketed, in pieces of ``_PIECE``, by their biased exponent
-    ``bits >> 52`` (bits being the float's int64 view), and each is split
-    into ``hi``, its bits with the low 26 mantissa bits cleared, and
-    ``lo = v - hi``, which is exact. ``np.bincount`` sums the hi parts and
-    the lo parts of each bucket, and ``math.fsum`` rounds the 4096 bucket
-    sums once. Every bucket sum is exact: with u the bucket's ulp, its hi
-    parts are multiples of 2^26 u below 2^27 (2^26 u) and its lo parts
-    multiples of u below 2^26 u, so for up to 2^26 values every partial sum
+    Each block's values are bucketed by their biased exponent ``bits >> 52``
+    (bits being the float's int64 view), and each is split into ``hi``, its
+    bits with the low 26 mantissa bits cleared, and ``lo = v - hi``, which is
+    exact. ``np.bincount`` adds the hi parts and the lo parts of each bucket
+    into 4096 running bucket sums, and ``math.fsum`` rounds them once. Every
+    bucket sum is exact: with u the bucket's ulp, its hi parts are multiples
+    of 2^26 u below 2^27 (2^26 u) and its lo parts multiples of u below
+    2^26 u, so for up to 2^26 values in all blocks together every partial sum
     of either is a multiple of its grid below 2^53 grid steps and fits a
-    double. ``_WORD_CAP`` = 2^20 keeps every level within that.
+    double. ``_WORD_CAP`` = 2^26 keeps every level within that.
     """
     sums = np.zeros(4096, dtype=np.float64)
-    for start in range(0, values.size, _PIECE):
-        piece = values[start : start + _PIECE]
-        bits = piece.view(np.int64)
+    for block in blocks:
+        bits = block.view(np.int64)
         exponent = bits >> 52
         hi = (bits & _HI_MASK).view(np.float64)
         sums[:2048] += np.bincount(exponent, weights=hi, minlength=2048)
-        sums[2048:] += np.bincount(exponent, weights=piece - hi, minlength=2048)
+        lo = np.subtract(block, hi, out=hi)
+        sums[2048:] += np.bincount(exponent, weights=lo, minlength=2048)
     return math.fsum(sums.tolist())
+
+
+def _occupy(x: np.ndarray, M: int) -> None:
+    """x <- 1 - (1 - x)^M in place, in the stable form -expm1(M * log1p(-x))."""
+    np.negative(x, out=x)
+    np.log1p(x, out=x)
+    np.multiply(x, M, out=x)
+    np.expm1(x, out=x)
+    np.negative(x, out=x)
+
+
+def _level_blocks(p: np.ndarray, M: int, n: int) -> Iterator[np.ndarray]:
+    """The a-values of all N^n words of length n, in blocks of at most ``_BLOCK``.
+
+    Levels evolve breadth-first while one fits a block: level k+1's part i
+    is p_i times level k, written from i = N-1 down so that part 0, which
+    overwrites the level it reads, goes last, and ``_occupy`` then runs in
+    place on the new level. From the deepest such level K on, the walk is
+    depth-first. Row d of one (n - K + 1) x N^K array holds a block of level
+    K + d, row 0 the head: each row is ``_occupy`` of p_i times the row
+    above, for the letter i its block descends by. Leaf t's letters are the
+    base-N digits of t, so row d + 1 is recomputed only when leaf t starts a
+    new block of it, at t a multiple of N^(n - K - 1 - d). Each leaf yields
+    row n - K, which the next leaf overwrites.
+    """
+    N = p.size
+    head = 0
+    while head < n and N ** (head + 1) <= _BLOCK:
+        head += 1
+    depth = n - head
+    rows = np.empty((depth + 1, N**head), dtype=np.float64)
+    top = rows[0]
+    top[0] = 1.0
+    size = 1
+    for _ in range(head):
+        for i in range(N - 1, -1, -1):
+            np.multiply(p[i], top[:size], out=top[i * size : (i + 1) * size])
+        size *= N
+        _occupy(top[:size], M)
+    for t in range(N**depth):
+        for d in range(depth):
+            stride = N ** (depth - 1 - d)
+            if t % stride == 0:
+                np.multiply(p[t // stride % N], rows[d], out=rows[d + 1])
+                _occupy(rows[d + 1], M)
+        yield rows[depth]
 
 
 def expected_zn(p: ProbVector, M: int, n: int) -> float:
     """Exact E[Z_n]: the sum of a_probability over all N^n label words.
 
-    Computed by evolving the full vector of a-values one prefix letter at a
-    time, so the cost is the output size N^n, not N^n recursion calls. All
-    levels live in one buffer of N^n doubles: level k+1's block i is p_i
-    times level k, written from i = N-1 down so that block 0, which
-    overwrites the level it reads, goes last, and the level's ufuncs then
-    run in place on its prefix. ``_exact_sum`` adds the last level exactly,
-    so the result is the correctly rounded sum.
+    The a-values are evolved one prefix letter at a time, a whole block of
+    words a step, so the cost is the output size N^n, not N^n recursion
+    calls. ``_level_blocks`` walks the levels in blocks of ``_BLOCK``
+    doubles, so memory is O(_BLOCK * n) at any N^n up to ``_WORD_CAP``, and
+    ``_exact_sum`` adds the last level's blocks exactly, so the result is
+    the correctly rounded sum.
     """
     _check_arity(M)
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
-    N = p.N
-    words = _checked_power("N^n = {} words to sum", N, n, _WORD_CAP, "_WORD_CAP")
-    if n == 0:
-        return 1.0
-    parr = p.as_array()
-    values = np.empty(words, dtype=np.float64)
-    values[0] = 1.0
-    size = 1
-    for _ in range(n):  # values = -expm1(M * log1p(-outer(p, values)))
-        for i in range(N - 1, -1, -1):
-            np.multiply(parr[i], values[:size], out=values[i * size : (i + 1) * size])
-        size *= N
-        level = values[:size]
-        np.negative(level, out=level)
-        np.log1p(level, out=level)
-        np.multiply(level, M, out=level)
-        np.expm1(level, out=level)
-        np.negative(level, out=level)
-    return _exact_sum(values)
+    _checked_power("N^n = {} words to sum", p.N, n, _WORD_CAP, "_WORD_CAP")
+    return _exact_sum(_level_blocks(p.as_array(), M, n))
 
 
 def _compositions(n: int, parts: int):

@@ -304,6 +304,23 @@ class TestDeterministic:
         assert code == 0
         assert out == default == "m,L,rho_L,dim_Fm\n5,1,1.61803399,0.438017879\n"
 
+    @pytest.mark.parametrize("key", ["n", "dump"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_csv_refuses_word_requests(self, capsys, tmp_path, key, source):
+        # the CSV row builds no words, so --n and --dump would be dropped unread
+        path = tmp_path / "words.txt"
+        value = {"n": 5, "dump": str(path)}[key]
+        if source == "flag":
+            argv = ["--m", "3", f"--{key}", str(value)]
+        else:
+            cfg = tmp_path / "det.json"
+            cfg.write_text(json.dumps({"m": 3, key: value}))
+            argv = ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, "deterministic", *argv, "--format", "csv")
+        assert (code, out) == (2, "")
+        assert "--format csv" in err and f"--{key} {value}" in err
+        assert not path.exists()
+
     def test_dump_file(self, capsys, tmp_path):
         path = tmp_path / "words.txt"
         code, _, _ = run_cli(
@@ -579,6 +596,9 @@ BASE = {
     "deterministic": {"m": 3, "n": 4},
     "energy": {"M": 2, "p": [0.5, 0.5], "depth": 4},
 }
+# A config in place of BASE for a parameter whose sample refuses a BASE field:
+# deterministic's CSV row builds no words, so it refuses n
+BASE_FOR = {("deterministic", "format"): {"m": 3}}
 FLAG_PARAMS = [
     (command, param)
     for command, spec in COMMANDS.items()
@@ -599,7 +619,8 @@ def test_flag_equals_config_field(capsys, tmp_path, command, param):
         value = SAMPLES[param.name]
     text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
     flag = param.flag or "--" + param.name.replace("_", "-")
-    base = {k: v for k, v in BASE[command].items() if k != param.name}
+    base = BASE_FOR.get((command, param.name), BASE[command])
+    base = {k: v for k, v in base.items() if k != param.name}
     cfg = tmp_path / "exp.json"
     results = []
     for config, flags in (({**base, param.name: value}, []), (base, [flag, text])):

@@ -259,9 +259,19 @@ class TestExpectedZn:
         values, M, n, pin = self.HEX_PINS[name]
         assert expected_zn(ProbVector(values), M, n).hex() == pin
 
-    @pytest.mark.parametrize(
-        "values, M, n", [((0.3, 0.7), 2, 12), ((0.2, 0.3, 0.5), 3, 7), ((0.25,) * 4, 5, 6)]
-    )
+    # At the default _BLOCK every pin walks its last 3 to 6 levels depth-first.
+    # A block of 100 doubles holds 64 (N = 2, 4) or 81 (N = 3) words, so the
+    # walk runs 7 to 14 levels deep. Blocks of 1 or 3 doubles would take about
+    # a million leaves a pin, 2 to 22 s each, so those sizes meet the Fraction
+    # oracle below instead.
+    @pytest.mark.parametrize("name", sorted(HEX_PINS))
+    def test_bit_exact_pins_in_small_blocks(self, monkeypatch, name):
+        monkeypatch.setattr(exact, "_BLOCK", 100)
+        self.test_bit_exact_pins(name)
+
+    ORACLE_CASES = [((0.3, 0.7), 2, 12), ((0.2, 0.3, 0.5), 3, 7), ((0.25,) * 4, 5, 6)]
+
+    @pytest.mark.parametrize("values, M, n", ORACLE_CASES)
     def test_every_level_is_the_rounded_exact_sum_of_the_outer_product_levels(self, values, M, n):
         # an independent evolution, one np.outer a level, summed exactly in Fractions
         p = ProbVector(values)
@@ -270,16 +280,44 @@ class TestExpectedZn:
             assert expected_zn(p, M, k) == float(sum(map(Fraction, level.tolist()))), k
             level = -np.expm1(M * np.log1p(-np.outer(p.as_array(), level).reshape(-1)))
 
-    def test_memory_is_one_level_buffer(self):
-        # one buffer of N^n doubles plus the exact sum's pieces; evolving by np.outer peaked at 2x
-        expected_zn(SKEW, 2, 4)  # warm up
+    # at the default _BLOCK these levels all fit the breadth-first head; blocks
+    # of 1 or 3 doubles walk every level past 0 or 1 depth-first
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("values, M, n", ORACLE_CASES)
+    def test_walk_in_small_blocks_meets_the_outer_product_levels(
+        self, monkeypatch, values, M, n, block
+    ):
+        monkeypatch.setattr(exact, "_BLOCK", block)
+        self.test_every_level_is_the_rounded_exact_sum_of_the_outer_product_levels(values, M, n)
+
+    @pytest.mark.parametrize("N, n", [(2, 10), (3, 7), (4, 5)])
+    @pytest.mark.parametrize("M", [2, 3, 4, 5])
+    def test_uniform_walk_collapses_to_pi(self, monkeypatch, N, M, n):
+        # one-double blocks: every level past 0 is walked depth-first
+        monkeypatch.setattr(exact, "_BLOCK", 1)
+        pi = pi_sequence(N, M, n)
+        for k in range(n + 1):
+            assert expected_zn(ProbVector.uniform(N), M, k) == pytest.approx(
+                N**k * pi[k], rel=1e-12
+            ), k
+
+    @staticmethod
+    def _peak_bytes(n: int) -> int:
         tracemalloc.start()
         try:
-            expected_zn(SKEW, 2, 20)
-            peak = tracemalloc.get_traced_memory()[1]
+            expected_zn(SKEW, 2, n)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 8 * 2**20
+
+    def test_memory_does_not_grow_with_the_level(self):
+        # the walk keeps one block a level past the head: n = 20 holds four
+        # blocks more than n = 16, where one N^n buffer held 8 MB at n = 20
+        expected_zn(SKEW, 2, 4)  # warm up
+        block_bytes = 8 * exact._BLOCK
+        peak = self._peak_bytes(20)
+        assert peak <= 8 * 2**20 // 4
+        assert peak <= self._peak_bytes(16) + 4 * block_bytes
 
 
 NONNEGATIVE_DOUBLES = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from(
@@ -291,15 +329,20 @@ class TestExactSum:
     @given(st.lists(NONNEGATIVE_DOUBLES, max_size=300), st.integers(min_value=1, max_value=300))
     @settings(max_examples=200, deadline=None)
     def test_equals_fsum(self, values, repeats):
-        # repeating the draw crosses piece boundaries and piles values into few buckets
+        # repeating the draw piles values into few buckets; 7 blocks carry them across blocks
         a = np.tile(np.array(values, dtype=np.float64), repeats)
-        assert exact._exact_sum(a) == math.fsum(a.tolist())
+        assert exact._exact_sum([a]) == math.fsum(a.tolist())
+        assert exact._exact_sum(np.array_split(a, 7)) == math.fsum(a.tolist())
 
     def test_a_full_level_of_values(self):
+        # in 64 blocks of 2^14, so the bucket sums run on across blocks
         rng = np.random.default_rng(25)
         a = rng.random(1 << 20) ** rng.integers(1, 40, 1 << 20)
         a[::4] = 1.0 - rng.random(1 << 18) * 2.0**-40  # values just below 1, all in one bucket
-        assert exact._exact_sum(a) == math.fsum(a.tolist())
+        assert exact._exact_sum(np.split(a, 64)) == math.fsum(a.tolist())
+
+    def test_no_blocks_sum_to_zero(self):
+        assert exact._exact_sum([]) == 0.0
 
 
 class TestMultinomialBound:
@@ -380,8 +423,8 @@ BUDGET_MESSAGES = {
         r"^N\^depth = 64 words in one mask, over the cap of 63 set by _MASK_BITS$",
     ),
     "level sum": (
-        lambda: expected_zn(SYM, 2, 21),
-        r"^N\^n = 2097152 words to sum, over the cap of 1048576 set by _WORD_CAP$",
+        lambda: expected_zn(SYM, 2, 27),
+        r"^N\^n = 134217728 words to sum, over the cap of 67108864 set by _WORD_CAP$",
     ),
     "pi steps": (
         lambda: pi_sequence(2, 3, exact._PI_CAP + 1),
@@ -395,7 +438,7 @@ BUDGET_MESSAGES = {
     # Python converts to a string
     "deep level sum": (
         lambda: expected_zn(SYM, 2, 20000),
-        r"^N\^n = 2\^20000 words to sum, over the cap of 1048576 set by _WORD_CAP$",
+        r"^N\^n = 2\^20000 words to sum, over the cap of 67108864 set by _WORD_CAP$",
     ),
     "deep mask": (
         lambda: enumerate_z_distribution(HALVES, 2, 20000),
