@@ -28,7 +28,6 @@ from .bounds import (
 from .detfrac import (
     DeterministicSpec,
     dim_Fm,
-    dimension_rows,
     dump_words,
     graph_words,
     level_of,

@@ -3,7 +3,9 @@
 Subcommands: bounds, table1, figure1, simulate, exact, deterministic,
 energy. Every run is deterministic given its config and seed. Exit codes:
 0 success, 2 validation problem (bad flags, malformed config, constraint
-violations), 3 exceeded budget (state, depth, or enumeration size).
+violations) or file error (a config, ``--out`` or ``--dump`` path that
+cannot be read or written), 3 exceeded budget (state, depth, or
+enumeration size).
 
 Each subcommand's parameters are written once, in ``COMMANDS``: a
 ``Param`` gives the name, the flag's type, the JSON-schema fragment and the
@@ -14,10 +16,13 @@ its subcommand's flags set, plus ``mode`` and, for simulate and energy, the
 ``ifs`` geometry. A small in-module checker (``_errors``) validates the
 resolved dict against that schema: it knows only the keywords ``COMMANDS``
 uses, gives the Draft 2020-12 reference validator's messages, and, unlike
-it, takes only finite numbers, so a NaN or an infinity exits 2. CSV output
-uses '.' decimals, ',' separators, a header row, and 9 significant digits.
-The row tables (table1, figure1, exact) are written row by row, as CSV or
-as one JSON list.
+it, takes only finite numbers, so a NaN or an infinity exits 2.
+
+Every subcommand writes its result once, through one writer (``_write``),
+to ``--out`` or stdout. CSV output uses '.' decimals, ',' separators, a
+header row, and 9 significant digits. JSON output is the subcommand's
+document, or, for the row tables (table1, figure1, exact), one list of
+rows written row by row.
 
 ``energy`` runs one worker thread per usable CPU (the CPU affinity mask, so
 ``taskset`` limits it) and ``simulate`` runs 1. The thread count changes
@@ -43,7 +48,6 @@ from .bounds import classify, lower_bound, upper_bound
 from .detfrac import (
     DeterministicSpec,
     dim_Fm,
-    dimension_rows,
     dump_words,
     graph_words,
     level_of,
@@ -76,47 +80,35 @@ def _fmt(x) -> str:
     return f"{float(x):.9g}"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _json_doc(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_json_rows(rows, out: str | None) -> None:
-    """Write ``_json_doc(list(rows))`` one row at a time, to ``out`` or stdout.
+def _write(params: dict, keys: tuple[str, ...], rows, doc=None) -> None:
+    """Write a result to ``--out``, or to stdout when it is unset.
 
-    Rows are flat dicts of numbers. Each is encoded without ``indent``, which
-    runs json's C encoder, and its item separator carries the newline and
-    indent that ``indent=2`` gives the items of a dict inside a list.
+    CSV is the header ``keys``, then each row, a tuple in the order of
+    ``keys``, as it is formed. JSON is ``doc`` when one is given; otherwise
+    the rows as one list of dicts, written one row at a time. Each row is
+    encoded without ``indent``, which runs json's C encoder, and its item
+    separator carries the newline and indent that ``indent=2`` gives the
+    items of a dict inside a list.
     """
-    encode = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).encode
+    out = params.get("out")
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as f:
-        opening = "[\n"
-        for row in rows:
-            f.write(opening + "  {\n    " + encode(row)[1:-1] + "\n  }")
-            opening = ",\n"
-        f.write("[]\n" if opening == "[\n" else "\n]\n")
-
-
-def _write_csv(header: str, rows, out: str | None) -> None:
-    """Write the header, then each row as it is formed, to ``out`` or stdout."""
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as f:
-        f.write(header + "\n")
-        for row in rows:
-            f.write(",".join([v if isinstance(v, str) else _fmt(v) for v in row]) + "\n")
-
-
-def _write_table(keys: tuple[str, ...], rows, params: dict) -> None:
-    """Write ``rows``, tuples in the order of ``keys``, as CSV or a JSON list of dicts."""
-    if params["format"] == "json":
-        _write_json_rows((dict(zip(keys, row)) for row in rows), params.get("out"))
-    else:
-        _write_csv(",".join(keys), rows, params.get("out"))
+        if params["format"] == "csv":
+            f.write(",".join(keys) + "\n")
+            for row in rows:
+                f.write(",".join([v if isinstance(v, str) else _fmt(v) for v in row]) + "\n")
+        elif doc is not None:
+            f.write(_json_doc(doc))
+        else:
+            encode = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).encode
+            opening = "[\n"
+            for row in rows:
+                f.write(opening + "  {\n    " + encode(dict(zip(keys, row)))[1:-1] + "\n  }")
+                opening = ",\n"
+            f.write("[]\n" if opening == "[\n" else "\n]\n")
 
 
 def _config_hash(resolved: dict) -> str:
@@ -160,13 +152,10 @@ def cmd_bounds(params: dict) -> int:
     p = _prob_vector(params, params.get("N"))
     report = classify(p, params["M"], params["r"])
     doc = report.to_dict()
-    if params["format"] == "csv":
-        keys = ("p", "M", "r", "lower", "upper", "trivial_upper", "sandwich",
-                "lambda", "lambda_degenerate", "exact", "exact_reason")
-        doc["p"] = ";".join(_fmt(x) for x in report.p)
-        _write_csv(",".join(keys), [[doc[k] for k in keys]], params.get("out"))
-    else:
-        _emit(_json_doc(doc), params.get("out"))
+    keys = ("p", "M", "r", "lower", "upper", "trivial_upper", "sandwich",
+            "lambda", "lambda_degenerate", "exact", "exact_reason")
+    row = [";".join(_fmt(x) for x in report.p), *(doc[k] for k in keys[1:])]
+    _write(params, keys, [row], doc)
     return 0
 
 
@@ -177,7 +166,7 @@ def cmd_table1(params: dict) -> int:
         p = 1.0 / m
         report = classify(ProbVector((p, 1.0 - p)), 2, r)
         rows.append((m, p, report.lower, dim_Fm(m, r), report.upper))
-    _write_table(("m", "p", "lower", "dim_Fm", "upper"), rows, params)
+    _write(params, ("m", "p", "lower", "dim_Fm", "upper"), rows)
     return 0
 
 
@@ -190,7 +179,7 @@ def cmd_figure1(params: dict) -> int:
         p = k / (grid + 1.0)
         vec = ProbVector((p, 1.0 - p))
         rows.append((p, lower_bound(vec, 2, r), upper_bound(vec, 2, r)))
-    _write_table(("p", "lower", "upper"), rows, params)
+    _write(params, ("p", "lower", "upper"), rows)
     return 0
 
 
@@ -224,23 +213,21 @@ def cmd_simulate(params: dict) -> int:
     }
     keys = ("level", "z_mean", "z_var", "z_min", "z_max", "z_union")
     rows = list(zip(range(depth + 1), *(getattr(stats, k) for k in keys[1:])))
-    out = params.get("out")
-    if params["format"] == "csv":  # the CSV leaves out z_union
-        _write_csv(",".join(keys[:-1]), [row[:-1] for row in rows], out)
-        if out:
-            Path(out + ".summary.json").write_text(_json_doc(summary))
+    levels = [dict(zip(keys, row)) for row in rows]
+    # the CSV leaves out z_union, and its summary goes beside it
+    _write(params, keys[:-1], [row[:-1] for row in rows], {"summary": summary, "levels": levels})
+    if params["format"] == "csv":
+        if params.get("out"):
+            Path(params["out"] + ".summary.json").write_text(_json_doc(summary))
         else:
             sys.stderr.write(_json_doc(summary))
-    else:
-        levels = [dict(zip(keys, row)) for row in rows]
-        _emit(_json_doc({"summary": summary, "levels": levels}), out)
     return 0
 
 
 def cmd_exact(params: dict) -> int:
     if params["table"] == "pi":
         seq = pi_sequence(params["N"], params["M"], params.get("n_max", 30))
-        _write_table(("n", "pi"), enumerate(seq.values), params)
+        _write(params, ("n", "pi"), enumerate(seq.values))
     else:
         p, M = _prob_vector(params, params.get("N")), params["M"]
         # deepest level first, so a level over a cap exits 3 before any other is summed
@@ -248,7 +235,7 @@ def cmd_exact(params: dict) -> int:
             (n, expected_zn(p, M, n), multinomial_bound(p, M, n))
             for n in range(params.get("n_max", 10), -1, -1)
         ][::-1]
-        _write_table(("n", "value", "bound"), rows, params)
+        _write(params, ("n", "value", "bound"), rows)
     return 0
 
 
@@ -267,8 +254,8 @@ def cmd_deterministic(params: dict) -> int:
                     f"--format csv reports the dimension row only and builds no words, "
                     f"got --{key} {params[key]}"
                 )
-        _write_csv("m,L,rho_L,dim_Fm", dimension_rows([m], r), params.get("out"))
-        return 0
+    if "dump" in params and n is None:
+        raise ValueError(f"--dump {params['dump']} writes the level-n word set and needs --n")
     report: dict = {
         "m": m,
         "offset": spec.offset,
@@ -292,7 +279,8 @@ def cmd_deterministic(params: dict) -> int:
             report["checks"] = checks
         if params.get("dump"):
             Path(params["dump"]).write_text(dump_words(words))
-    _emit(_json_doc(report), params.get("out"))
+    row = [report[k] for k in ("m", "L", "rho", "dim")]
+    _write(params, ("m", "L", "rho_L", "dim_Fm"), [row], report)
     return 0
 
 
@@ -314,16 +302,13 @@ def cmd_energy(params: dict) -> int:
             # emit the completed levels, then exit 3 as any budget stop does
             stopped = exc
             break
-    if params["format"] == "json":
-        doc = {
-            "t": t,
-            "master_seed": seed,
-            "note": "diagnostic only; truncated at each level's interval scale",
-            "rows": [dict(zip(keys, row)) for row in rows],
-        }
-        _emit(_json_doc(doc), params.get("out"))
-    else:
-        _write_csv(",".join(keys), rows, params.get("out"))
+    doc = {
+        "t": t,
+        "master_seed": seed,
+        "note": "diagnostic only; truncated at each level's interval scale",
+        "rows": [dict(zip(keys, row)) for row in rows],
+    }
+    _write(params, keys, rows, doc)
     if stopped is not None:
         raise stopped
     return 0
@@ -629,6 +614,9 @@ def main(argv=None) -> int:
     except (BudgetError, OverflowError) as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return 3
+    except OSError as exc:
+        sys.stderr.write(f"file error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

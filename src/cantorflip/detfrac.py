@@ -254,18 +254,6 @@ def _row_keys(words: np.ndarray) -> np.ndarray:
     return packed.view(f"V{width}").ravel()
 
 
-def dimension_rows(ms, r: float) -> list[tuple[int, int | None, float | None, float]]:
-    """(m, L, rho_L, dim) rows for CSV emission; L and rho are None at m = 2."""
-    rows = []
-    for m in ms:
-        if m == 2:
-            rows.append((2, None, None, dim_Fm(2, r)))
-        else:
-            L = level_of(m)
-            rows.append((m, L, rho(L), dim_Fm(m, r)))
-    return rows
-
-
 def dump_words(words: np.ndarray) -> str:
     """One word a line, as 0/1 digits in row order, for golden files and diffs.
 

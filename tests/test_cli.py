@@ -354,6 +354,21 @@ class TestDeterministic:
         assert doc["word_count"] == 9988
         assert doc["checks"] == {"tree_equals_graph": True, "tree_within_sft": True}
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_dump_without_n_exits_2(self, capsys, tmp_path, source):
+        # the level-n word set needs a level
+        path = tmp_path / "words.txt"
+        if source == "flag":
+            argv = ["--m", "3", "--dump", str(path)]
+        else:
+            cfg = tmp_path / "det.json"
+            cfg.write_text(json.dumps({"m": 3, "dump": str(path)}))
+            argv = ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, "deterministic", *argv)
+        assert (code, out) == (2, "")
+        assert "--dump" in err and "--n" in err
+        assert not path.exists()
+
     def test_dump_from_config(self, capsys, tmp_path):
         path = tmp_path / "words.txt"
         cfg = tmp_path / "det.json"
@@ -660,14 +675,17 @@ def test_readme_cli_line_runs(capsys, tmp_path, argv):
         ["exact", "--table", "zn", "--p", "0.3,0.7", "--M", "2", "--n-max", "6"],
         ["table1"],
         ["simulate", "--M", "2", "--p", "0.5,0.5", "--depth", "5", "--trials", "3", "--format", "csv"],
+        ["simulate", "--M", "2", "--p", "0.5,0.5", "--depth", "5", "--trials", "3"],
+        ["energy", "--M", "2", "--p", "0.5,0.5", "--depth", "5"],
+        ["energy", "--M", "2", "--p", "0.5,0.5", "--depth", "5", "--format", "json"],
     ],
     ids=" ".join,
 )
-def test_csv_to_out_file_matches_stdout(capsys, tmp_path, argv):
+def test_out_file_matches_stdout(capsys, tmp_path, argv):
     _, stdout, _ = run_cli(capsys, *argv)
-    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "out.csv"))
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
     assert code == 0
-    assert (tmp_path / "out.csv").read_bytes() == stdout.encode()
+    assert (tmp_path / "out").read_bytes() == stdout.encode()
 
 
 class TestFigure1:
@@ -780,6 +798,9 @@ DOCUMENT_DIGESTS = {
         "fecb301f2b4ed7ccc4df067bcc7ac0f2a0f67ce75a7d19d46e0ceaae14ecf575",
     "deterministic --m 6 --format csv":
         "f24af7933c2480b697ed902e2425f41276b12c8712a69ade9a536b37e6d26a99",
+    # the m = 2 row leaves L and rho_L empty; pinned from the row builder the report replaced
+    "deterministic --m 2 --format csv":
+        "b1dbcf7a7569fc04a1cf26e1984c376412211576925572dbda6c43b70b8f824c",
     # word reports: the listed words, the word-heavy m = 3 and the residue-heavy m = 4000
     "deterministic --m 6 --n 8":
         "c68fb267f75b0adf54dcfa2ba4e415b22971e9a74d59454e33178dc7fdef0e1a",
@@ -820,6 +841,21 @@ class TestFailures:
         cfg.write_text(json.dumps({"mode": "simulate", "M": 2}))
         code, _, err = run_cli(capsys, "bounds", "--config", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--config", "{missing}/config.json"],
+            ["table1", "--out", "{dir}"],
+            ["deterministic", "--m", "3", "--n", "3", "--dump", "{missing}/words.txt"],
+        ],
+        ids=["config", "out", "dump"],
+    )
+    def test_file_error_exits_2(self, capsys, tmp_path, argv):
+        argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("file error: ") and err.count("\n") == 1
 
     def test_budget_exit_3(self, capsys):
         code, _, err = run_cli(

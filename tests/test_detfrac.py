@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from cantorflip import (
     DeterministicSpec,
     dim_Fm,
-    dimension_rows,
     dump_words,
     graph_words,
     level_of,
@@ -379,14 +378,6 @@ class TestGrowth:
 
 
 class TestReporting:
-    def test_dimension_rows(self):
-        rows = dimension_rows((2, 3), 1 / 3)
-        assert rows[0] == (2, None, None, pytest.approx(math.log(2) / math.log(3)))
-        m, L, r1, d = rows[1]
-        assert (m, L) == (3, 1)
-        assert r1 == pytest.approx(GOLDEN, abs=1e-10)
-        assert d == pytest.approx(0.4380178794859424, abs=1e-12)
-
     def test_dump_words_sorted_lines(self):
         text = dump_words(tree_words(3, 2))
         assert text == "00\n01\n"
