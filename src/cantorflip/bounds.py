@@ -165,8 +165,10 @@ def _upper(
 ) -> tuple[float, float, LambdaRoot | None, SandwichCheck]:
     """The upper bound, the trivial bound, the lambda root used and the window check.
 
-    Inside the window the bound is phi(lambda)/log(1/r); outside it, the root
-    is None and the bound is the trivial min{log N, log M}/log(1/r).
+    Inside the window the bound is phi(lambda)/log(1/r), never above the
+    trivial min{log N, log M}/log(1/r): phi is convex with phi(0) = log N and
+    phi(1) = log M, and lambda minimises it, so the min only drops rounding.
+    Outside it, the root is None and the bound is the trivial one.
     """
     _check_ratio(p.N, r)
     check = sandwich_check(p, M)  # checks M
@@ -175,7 +177,7 @@ def _upper(
     if check.status != "within":
         return trivial, trivial, None, check
     root = _lambda_root(p, M)
-    return phi(p, M, root.value) / log_inv_r, trivial, root, check
+    return min(phi(p, M, root.value) / log_inv_r, trivial), trivial, root, check
 
 
 def upper_bound(p: ProbVector, M: int, r: float) -> float:

@@ -298,7 +298,7 @@ def cmd_energy(params: dict) -> int:
         try:
             occ = evolve(occ, p, rng=rng)
             rows.append((level, energy_estimate(occ, spec, t, threads=threads), spec.r**level))
-        except (BudgetError, OverflowError) as exc:
+        except BudgetError as exc:
             # emit the completed levels, then exit 3 as any budget stop does
             stopped = exc
             break

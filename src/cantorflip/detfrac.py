@@ -6,11 +6,12 @@ The level-n word sets grow like rho_L^n where L is determined by the block
 2^(L+1)-1 <= m <= 2^(L+2)-2 and rho_L is the positive root of
 x^(L+1) = x^L + 1, which makes the limit set's dimension
 log rho_L / log(1/r). tree_words (edge residues mod m) and graph_words
-(walks on the mod-m digraph) run one subset-construction determinizer that
-counts the words before it builds them, at a cost per word; their agreement
-checks that the two automata match under the relabelling c <-> c+1. The
-determinizer's own oracles share none of its code: the literal tree (in the
-tests) and the subshift forbidding 1 0^k 1 for k < L (sft_words, sft_count).
+(walks on the mod-m digraph) walk the next-state table of one subset
+construction over sorted residue arrays, which counts the words before any
+is built; their agreement checks that the two automata match under the
+relabelling c <-> c+1. The determinizer's own oracles share none of its
+code: the literal tree (in the tests) and the subshift forbidding 1 0^k 1
+for k < L (sft_words, sft_count).
 
 A word set is one uint8 array of 0/1 letters, shape (W, n), one word a row,
 its rows distinct and in ascending lexicographic order; level 0 is one empty
@@ -90,59 +91,58 @@ def dim_Fm(m: int, r: float) -> float:
     return top / math.log(1.0 / r)
 
 
-def _determinize(start: frozenset[int], successors, symbol, n: int):
+def _determinize(start, successors, symbol, n: int) -> tuple[np.ndarray, dict[int, int]]:
     """Subset automaton of the marked successor steps, with its level-n word counts.
 
-    A state is the frozenset of residues that the paths of one word can end
-    at; reading 1 moves to the successors x with symbol(x) true, reading 0 to
-    the rest. Returns the transition rows, ((symbol, next state), ...), of the
-    states reached before level n, each built when first reached, and the
-    level-n word count per state, from an integer vector iterated n times.
-    It stops at the first level whose words or states' residues exceed
-    _STATE_CAP; as every state has a successor, no later level has fewer words.
+    A state is the sorted int64 array of residues that one word's paths can
+    end at, interned by its bytes and numbered as first reached, the start
+    (ascending residues) as 0. Reading 1 moves to the successors x with
+    symbol(x) true, reading 0 to the rest; both take whole arrays. Returns
+    the intp next-state table, shape (states reached before level n, 2), -1
+    where a letter leads nowhere, and the level-n word counts by state
+    number, iterated n times in Python ints. It stops at the first level
+    whose words or states' residues exceed _STATE_CAP; as every state has a
+    successor, no later level has fewer words.
     """
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
-    rows: dict[frozenset[int], tuple[tuple[int, frozenset[int]], ...]] = {}
-    known, counts = {start: start}, {start: 1}
+    keys = [np.asarray(start, dtype=np.int64).tobytes()]  # by state number
+    number, rows, counts = {keys[0]: 0}, [], {0: 1}
     for level in range(1, n + 1):
-        grown: dict[frozenset[int], int] = {}
+        grown: dict[int, int] = {}
         for state, c in counts.items():
-            if state not in rows:
-                targets = frozenset(y for x in state for y in successors(x))
-                ones = frozenset(filter(symbol, targets))
-                rows[state] = tuple(
-                    (s, known.setdefault(t, t)) for s, t in enumerate((targets - ones, ones)) if t
-                )
-            for _, t in rows[state]:
-                grown[t] = grown.get(t, 0) + c
+            if state == len(rows):  # states are expanded in the order they are numbered
+                targets = np.sort(np.concatenate(successors(np.frombuffer(keys[state], np.int64))))
+                targets = targets[np.diff(targets, prepend=-1) != 0]
+                ones = symbol(targets)
+                pair = targets[~ones].tobytes(), targets[ones].tobytes()
+                for key in pair:
+                    if key and key not in number:
+                        number[key] = len(keys)
+                        keys.append(key)
+                rows.append([number.get(key, -1) for key in pair])  # b"", no target, is -1
+            for t in rows[state]:
+                if t >= 0:
+                    grown[t] = grown.get(t, 0) + c
         counts = grown
-        words, held = sum(counts.values()), sum(map(len, counts))
+        words, held = sum(counts.values()), sum(len(keys[s]) for s in counts) // 8
         if words > _STATE_CAP:
             raise _budget_error(f"{words} words at level {level} of {n}", _STATE_CAP, "_STATE_CAP")
         if held > _STATE_CAP:
             size = f"{held} residues in {len(counts)} subset states at level {level} of {n}"
             raise _budget_error(size, _STATE_CAP, "_STATE_CAP")
-    return rows, counts
+    return np.array(rows, dtype=np.intp).reshape(-1, 2), counts
 
 
-def _level_words(start: frozenset[int], successors, symbol, n: int) -> np.ndarray:
+def _level_words(start, successors, symbol, n: int) -> np.ndarray:
     """Level-n words of ``_determinize``'s automaton, counted before one is built.
 
-    The automaton's rows become a table of next-state numbers, -1 where a
-    letter leads nowhere, and the frontier is one state number per word.
-    Each level appends every word's children in (word, letter) order, so the
-    rows stay in ascending order with no sort; the automaton is
-    deterministic, so they stay distinct.
+    The frontier is one state number per word. Each level appends every
+    word's children in (word, letter) order, so the rows stay in ascending
+    order with no sort; the automaton is deterministic, so they stay
+    distinct. The level-n states, which have no row, are never looked up.
     """
-    rows, _ = _determinize(start, successors, symbol, n)
-    # start is the first state in rows; the states first reached at level n
-    # are never expanded, and share the last number
-    number = {state: i for i, state in enumerate(rows)}
-    table = np.full((len(rows) + 1, 2), -1, dtype=np.intp)
-    for state, row in rows.items():
-        for s, t in row:
-            table[number[state], s] = number.get(t, len(rows))
+    table, _ = _determinize(start, successors, symbol, n)
     words, at = np.zeros((1, 0), dtype=np.uint8), np.zeros(1, dtype=np.intp)
     for _ in range(n):
         child = table[at]
@@ -164,7 +164,7 @@ def tree_words(spec: DeterministicSpec | int, n: int) -> np.ndarray:
         spec = DeterministicSpec(spec)
     m, offset = spec.m, spec.offset
     return _level_words(
-        frozenset({m - 1}), lambda c: ((2 * c + 2) % m, (2 * c + 3) % m), lambda c: c == offset, n
+        [m - 1], lambda c: ((2 * c + 2) % m, (2 * c + 3) % m), lambda c: c == offset, n
     )
 
 
@@ -180,9 +180,7 @@ def graph_words(m: int, n: int) -> np.ndarray:
     if m < 3:
         raise ValueError(f"graph defined for m >= 3, got {m}")
     # pseudo-start: vertex 0's successors are exactly the real starts 1 and 2
-    return _level_words(
-        frozenset({0}), lambda v: ((2 * v + 1) % m, (2 * v + 2) % m), lambda v: v == 0, n
-    )
+    return _level_words([0], lambda v: ((2 * v + 1) % m, (2 * v + 2) % m), lambda v: v == 0, n)
 
 
 def sft_count(L: int, n: int) -> int:

@@ -59,7 +59,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import _budget_error, _check_arity, _checked_power
+from .errors import BudgetError, _budget_error, _check_arity, _checked_power
 from .ifs import IfsSpec, interval
 
 _DENSE_STATE_CAP = 1 << 24  # the pooled-union bitmap: at most 2^24 words
@@ -391,13 +391,10 @@ def evolve(occ: OccupancyMap, p: ProbVector, rng: np.random.Generator) -> Occupa
     For each row w with count c the M*c child paths split among the N
     one-letter extensions of w by one multinomial(M*c, p) draw; the output
     drops zero counts and keeps (row, letter) order, so its rows ascend.
-    Raises OverflowError once M^(level+1) no longer fits the 64-bit counts.
+    Raises BudgetError once M^(level+1) no longer fits the 64-bit counts.
     """
-    if occ.M ** (occ.level + 1) > _INT64_MAX:
-        raise OverflowError(
-            "path counts overflow 64-bit at the next level; "
-            "lower the depth or switch to trial sampling"
-        )
+    level = occ.level + 1
+    _checked_power(f"M^level = {{}} paths at level {level}", occ.M, level, _INT64_MAX, "_INT64_MAX")
     Z, N = occ.counts.size, p.N
     ws = _Workspace()
     # row indices as codes: child i*N + l is row i extended by letter l+1
@@ -707,7 +704,8 @@ def energy_estimate(occ: OccupancyMap, spec: IfsSpec, t: float, *, threads: int 
     midpoints are not strictly ascending: with orientation-preserving maps
     they ascend with the words, and for y > x, y - x is the same double as
     |x - y|. Workers call only numpy. Raises BudgetError when the Z^2 pairs
-    exceed ``_PAIR_CAP``.
+    exceed ``_PAIR_CAP``, and when two midpoints are the same double, whose
+    distance 0 would make the sum inf: the level is finer than the doubles.
     """
     if t <= 0:
         raise ValueError(f"energy exponent must be positive, got {t}")
@@ -723,6 +721,11 @@ def energy_estimate(occ: OccupancyMap, spec: IfsSpec, t: float, *, threads: int 
     weights = occ.counts / float(occ.M**occ.level)
     mids = interval(spec, occ.words).midpoint
     ascending = bool(np.all(mids[1:] > mids[:-1]))
+    if not ascending and not np.all(np.diff(np.sort(mids)) > 0):
+        raise BudgetError(
+            f"level {occ.level} energy has two of its Z = {Z} words at one midpoint double; "
+            "lower the depth"
+        )
     starts = range(0, Z - 1, _PAIR_TILE)
     workers = min(threads, len(starts))
     rows = min(-(-_PAIR_TILE // workers), Z)

@@ -107,6 +107,24 @@ class TestBoundValues:
                 up = upper_bound(p, M, 1 / 3)
                 assert lo <= up + 1e-12
 
+    @pytest.mark.parametrize("r,trivial", [(0.5, 1.0), (0.25, 0.5)])
+    def test_uniform_pair_upper_is_the_trivial_bound(self, r, trivial):
+        # phi(1/2)/log(1/r) rounds one ulp above log 2/log(1/r) at these ratios
+        rep = classify(ProbVector((0.5, 0.5)), 2, r)
+        assert rep.upper == rep.trivial_upper == trivial
+        assert upper_bound(ProbVector((0.5, 0.5)), 2, r) == trivial
+
+    def test_upper_never_exceeds_trivial_on_grid(self):
+        for r in (0.5, 1 / 3, 0.25, 0.1):
+            for M in (2, 3, 4, 5):
+                grid = [(i / 40, 1 - i / 40) for i in range(1, 40)]
+                if r <= 1 / 3:
+                    grid += [(i / 12, j / 12, (12 - i - j) / 12)
+                             for i in range(1, 11) for j in range(1, 12 - i)]
+                for p in grid:
+                    rep = classify(ProbVector(p), M, r)
+                    assert rep.upper <= rep.trivial_upper, (p, M, r)
+
     def test_upper_decreases_towards_degenerate_p(self):
         vals = [
             upper_bound(ProbVector((10.0**-k, 1 - 10.0**-k)), 2, 1 / 3)

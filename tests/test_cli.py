@@ -778,8 +778,9 @@ DOCUMENT_DIGESTS = {
         "ec20c0c60f8f43b5ddcd83bc29455a21c5bfb6a4edb5f0977fab3a13df099084",
     "figure1 --grid 999 --format json":
         "f140847ab457a6e9eb92c3976c827d528aee24ad3ee2b109b81776fb283800a4",
+    # re-pinned when the p = 0.5 upper, one ulp over the trivial 0.5, was capped at it
     "figure1 --format json --r 0.25":
-        "fce703c1f20fb5ed8f7fda2dc9a94b76d802cd1fc1574edc5cc5d72c4873f910",
+        "6b40d99550cb816a28c2da3261e9f756f4be9535ad6df0648a072b56ed2cdc5b",
     "exact --table zn --p 0.3,0.7 --M 2 --n-max 12 --format json":
         "ab8a7ad583f8bc679709f20df342e34872a89cbbd196b08bc7cfe0e01ad40838",
     "exact --table pi --N 2 --M 3 --n-max 50 --format json":
@@ -896,6 +897,19 @@ class TestFailures:
         assert levels == list(range(1, len(levels) + 1))
         assert len(levels) >= 4  # levels 1-4 hold at most 16 words
         assert f"level {len(levels) + 1} energy needs" in err
+
+    def test_energy_equal_midpoints_exit_3(self, capsys):
+        # level 57 holds two words whose midpoints are the same double
+        code, out, err = run_cli(
+            capsys,
+            "energy", "--N", "2", "--M", "2", "--p", "0.9999999,0.0000001", "--depth", "70",
+            "--t", "0.5",
+        )
+        assert code == 3
+        assert err.startswith("budget exceeded: level 57 energy has two of its Z = ")
+        lines = out.strip().splitlines()
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, 57))
+        assert "inf" not in out
 
 
 BUDGET_MESSAGES = {

@@ -9,6 +9,7 @@ tests pin small cases exactly and cross-check the views against each other.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,11 +304,9 @@ class TestSubsetAutomaton:
     # (start, successors, symbol) of tree_words and graph_words at offset m-1
     AUTOMATA = {
         "tree": lambda m: (
-            frozenset({m - 1}), lambda c: ((2 * c + 2) % m, (2 * c + 3) % m), lambda c: c == m - 1
+            [m - 1], lambda c: ((2 * c + 2) % m, (2 * c + 3) % m), lambda c: c == m - 1
         ),
-        "graph": lambda m: (
-            frozenset({0}), lambda v: ((2 * v + 1) % m, (2 * v + 2) % m), lambda v: v == 0
-        ),
+        "graph": lambda m: ([0], lambda v: ((2 * v + 1) % m, (2 * v + 2) % m), lambda v: v == 0),
     }
 
     @pytest.mark.parametrize("automaton", sorted(AUTOMATA))
@@ -316,6 +315,29 @@ class TestSubsetAutomaton:
         for m in [*range(3, 130), *self.LARGE_M]:
             _, counts = _determinize(*self.AUTOMATA[automaton](m), 300)
             assert sum(counts.values()) == sft_count(level_of(m), 300), m
+
+    def test_counts_at_every_offset_are_the_literal_trees(self):
+        # the counts drive the budget stop, at every offset, not only at m - 1
+        for m in range(3, 16):
+            for offset in range(m):
+                literal, _ = brute_force_counts(m, 14, offset)
+                automaton = (
+                    [m - 1], lambda c: ((2 * c + 2) % m, (2 * c + 3) % m), lambda c: c == offset
+                )
+                for k in range(1, 15):
+                    _, counts = _determinize(*automaton, k)
+                    assert sum(counts.values()) == literal[k - 1], (m, offset, k)
+
+    def test_states_are_held_as_residue_bytes(self):
+        # about 3m residues are held once 2^n > m: 2.4 MB as 8-byte keys
+        tree_words(3, 5)  # warm lazy set-up
+        tracemalloc.start()
+        try:
+            tree_words(10**5, 25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("words", [tree_words, graph_words])
     def test_word_budget_stops_at_first_level_over_cap(self, words):
@@ -334,13 +356,11 @@ class TestSubsetAutomaton:
     @pytest.mark.parametrize("m", [3, 6, 7, 14, 15, 30, 31, 62, 63, 4000, 10**5])
     def test_spectral_radius_gives_dim_fm(self, monkeypatch, m):
         monkeypatch.setattr(detfrac, "_STATE_CAP", math.inf)
-        rows, _ = _determinize(*self.AUTOMATA["graph"](m), 64)
-        assert all(t in rows for row in rows.values() for _, t in row)  # closed under steps
-        index = {state: i for i, state in enumerate(rows)}
-        transfer = np.zeros((len(index), len(index)))
-        for state, row in rows.items():
-            for _, t in row:
-                transfer[index[state], index[t]] += 1
+        table, _ = _determinize(*self.AUTOMATA["graph"](m), 64)
+        assert table.max() < len(table)  # closed under steps
+        state, letter = np.nonzero(table >= 0)
+        transfer = np.zeros((len(table), len(table)))
+        np.add.at(transfer, (state, table[state, letter]), 1)
         radius = max(abs(np.linalg.eigvals(transfer)))
         assert math.log(radius) / math.log(3) == pytest.approx(dim_Fm(m, 1 / 3), abs=1e-6)
 

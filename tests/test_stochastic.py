@@ -111,7 +111,11 @@ class TestEvolve:
     def test_counts_overflow_guard(self):
         # level-62 map: the next level's M^n leaves the int64 range
         occ = _occupancy(2, {(1,) * 62: 2**62})
-        with pytest.raises(OverflowError):
+        message = (
+            r"^M\^level = 9223372036854775808 paths at level 63, "
+            r"over the cap of 9223372036854775807 set by _INT64_MAX$"
+        )
+        with pytest.raises(BudgetError, match=message):
             evolve(occ, SYM, rng=np.random.default_rng(0))
 
     def test_duplicated_or_unordered_rows_raise(self):
@@ -1030,6 +1034,17 @@ class TestEnergy:
                 tracemalloc.stop()
         assert peaks[1] > _TILE * 2999 * 8
         assert peaks[2] <= 1.05 * peaks[1] + 64 * 1024
+
+    @pytest.mark.parametrize("name", ["canonical", "reflected"])
+    def test_equal_midpoints_raise(self, name):
+        # 3^-60 is below half an ulp of the midpoints near the right end
+        spec = ENERGY_SPECS[name][0]
+        occ = _occupancy(2, {(2,) * 59 + (1,): 2**59, (2,) * 60: 2**59})
+        mids = interval(spec, occ.words).midpoint
+        assert mids[0] == mids[1]
+        message = r"^level 60 energy has two of its Z = 2 words at one midpoint double; lower the depth$"
+        with pytest.raises(BudgetError, match=message):
+            energy_estimate(occ, spec, 0.5)
 
     def test_two_interval_anchor(self):
         # intervals [0,1/3] and [2/3,1]: midpoints 1/6 and 5/6, weights 1/2
